@@ -128,12 +128,18 @@ Result<double> ParseNumber(const std::string& text) {
       }
     }
   }
-  char* end = nullptr;
-  double v = std::strtod(cleaned.c_str(), &end);
-  if (end == nullptr || end == cleaned.c_str() || *end != '\0') {
+  // strtod also reads "nan", "inf", "infinity" and hex ("0x10"), and
+  // overflows to infinity ("1e400"): only finite decimal forms count.
+  if (cleaned.find_first_not_of("0123456789+-.eE") != std::string::npos) {
     return Status::TypeError("cannot parse number from '" + text + "'");
   }
-  return v * multiplier;
+  char* end = nullptr;
+  double v = std::strtod(cleaned.c_str(), &end) * multiplier;
+  if (end == nullptr || end == cleaned.c_str() || *end != '\0' ||
+      !std::isfinite(v)) {
+    return Status::TypeError("cannot parse number from '" + text + "'");
+  }
+  return v;
 }
 
 Result<Value> ParseDate(const std::string& text) {
@@ -195,6 +201,8 @@ Result<Value> NormalizeCell(const std::string& raw, DataType expected,
       if (!n.ok()) return Value::Null();  // unparseable -> reject cell
       double v = n.value();
       if (domain != nullptr && !domain->Admits(v)) return Value::Null();
+      // llround is unspecified outside the int64 range.
+      if (std::fabs(v) >= 9.2e18) return Value::Null();
       return Value::Int(static_cast<int64_t>(std::llround(v)));
     }
     case DataType::kDouble: {

@@ -1,6 +1,7 @@
 #ifndef GALOIS_CLEAN_NORMALIZE_H_
 #define GALOIS_CLEAN_NORMALIZE_H_
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@ struct DomainConstraint {
   std::optional<double> max;
 
   bool Admits(double v) const {
+    if (std::isnan(v)) return false;
     if (min.has_value() && v < *min) return false;
     if (max.has_value() && v > *max) return false;
     return true;

@@ -321,28 +321,33 @@ Result<PhysicalPlan> PhysicalPlan::Compile(planner::PlanNodePtr plan,
   }
 
   // --- join chain -------------------------------------------------------
+  // Routed once, here, against the schemas the groups materialise in
+  // (the same engine helper the statement-driven path runs).
+  const sql::Expr* residual = where_filter != nullptr
+                                  ? where_filter->residual.get()
+                                  : nullptr;
+  std::vector<Schema> schemas;
+  schemas.reserve(p.groups_.size());
+  for (const TableGroup& g : p.groups_) schemas.push_back(GroupSchema(g));
+  std::vector<engine::JoinInput> inputs;
+  inputs.reserve(join_logicals.size());
+  for (const PlanNode* j : join_logicals) {
+    inputs.push_back({j->predicate.get(), j->join_type});
+  }
+  p.join_plan_ =
+      engine::PlanJoins(std::move(schemas), std::move(inputs), residual);
   PhysicalNode* top = p.groups_[0].top;
-  for (size_t i = 0; i < join_logicals.size(); ++i) {
-    const PlanNode* j = join_logicals[i];
-    std::string label;
-    if (!j->predicate) {
-      label = "CrossJoin";
-    } else if (j->join_type == sql::JoinType::kLeft) {
-      label = "LeftOuterJoin ON " + j->predicate->ToString();
-    } else {
-      label = "NestedLoopJoin ON " + j->predicate->ToString();
-    }
-    PhysicalNode* node = p.NewNode(std::move(label));
+  for (size_t i = 0; i < p.join_plan_.steps.size(); ++i) {
+    PhysicalNode* node = p.NewNode(p.join_plan_.steps[i].Label());
     node->children.push_back(top);
     node->children.push_back(p.groups_[i + 1].top);
-    p.joins_.push_back({j, node});
+    p.join_nodes_.push_back(node);
     top = node;
   }
 
   // --- relational tail --------------------------------------------------
-  if (where_filter != nullptr && where_filter->residual != nullptr) {
-    p.residual_ = where_filter->residual.get();
-    p.filter_node_ = p.NewNode("Filter " + p.residual_->ToString());
+  if (residual != nullptr) {
+    p.filter_node_ = p.NewNode("Filter " + residual->ToString());
     p.filter_node_->children.push_back(top);
     top = p.filter_node_;
   }
@@ -407,10 +412,28 @@ Result<PhysicalPlan> PhysicalPlan::Compile(planner::PlanNodePtr plan,
   return p;
 }
 
+Schema PhysicalPlan::GroupSchema(const TableGroup& group) {
+  if (!group.from_llm) return group.def->ToSchema(group.alias);
+  // LLM tables materialise as the key column plus the needed columns.
+  auto key_col = group.def->FindColumn(group.def->key_column);
+  Schema schema;
+  if (key_col.ok()) {
+    schema.AddColumn(Column(key_col.value()->name, key_col.value()->type,
+                            group.alias));
+  } else {
+    schema.AddColumn(
+        Column(group.def->key_column, DataType::kString, group.alias));
+  }
+  for (const catalog::ColumnDef* col : group.needed_columns) {
+    schema.AddColumn(Column(col->name, col->type, group.alias));
+  }
+  return schema;
+}
+
 Result<Relation> PhysicalPlan::MaterialiseDb(TableGroup& group) {
   GALOIS_ASSIGN_OR_RETURN(const Relation* instance,
                           catalog_->GetInstance(group.def->name));
-  Relation rel(group.def->ToSchema(group.alias), instance->rows());
+  Relation rel(GroupSchema(group), instance->rows());
   FinishRelationalOp(group.scan_node, rel.rows().size());
   return rel;
 }
@@ -596,12 +619,7 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
   // the sequential ladder below is the paper prototype's order. Either
   // way, retrieval bills through one per-operator tap and verification
   // through another, so the DAG attributes their spend separately.
-  Schema schema;
-  schema.AddColumn(Column(key_col.name, key_col.type, group.alias));
-  for (const catalog::ColumnDef* col : group.needed_columns) {
-    schema.AddColumn(Column(col->name, col->type, group.alias));
-  }
-  Relation rel(schema);
+  Relation rel(GroupSchema(group));
   llm::CostTap retrieve_tap(model);
   llm::CostTap cell_verify_tap(model);
   std::vector<std::vector<Value>> columns;
@@ -841,25 +859,14 @@ Result<QueryOutput> PhysicalPlan::Execute(llm::LanguageModel* model,
 
   // Relational tail: the same stages, in the same order, as the
   // statement-driven engine path (engine::ExecuteOnRelations).
-  Relation working = std::move(rels[0]);
-  for (size_t i = 0; i < joins_.size(); ++i) {
-    const PlanNode* j = joins_[i].logical;
-    const Relation& right = rels[i + 1];
-    if (!j->predicate) {
-      GALOIS_ASSIGN_OR_RETURN(working, engine::CrossJoin(working, right));
-    } else if (j->join_type == sql::JoinType::kLeft) {
-      GALOIS_ASSIGN_OR_RETURN(
-          working, engine::LeftOuterJoin(working, right, *j->predicate));
-    } else {
-      GALOIS_ASSIGN_OR_RETURN(
-          working, engine::NestedLoopJoin(working, right, *j->predicate));
-    }
-    FinishRelationalOp(joins_[i].node, working.rows().size());
+  engine::JoinChainRows chain_rows;
+  GALOIS_ASSIGN_OR_RETURN(
+      Relation working,
+      engine::ExecuteJoinChain(join_plan_, std::move(rels), &chain_rows));
+  for (size_t i = 0; i < join_nodes_.size(); ++i) {
+    FinishRelationalOp(join_nodes_[i], chain_rows.steps[i]);
   }
-  if (residual_ != nullptr) {
-    GALOIS_ASSIGN_OR_RETURN(working, engine::Filter(working, *residual_));
-    FinishRelationalOp(filter_node_, working.rows().size());
-  }
+  FinishRelationalOp(filter_node_, chain_rows.filtered);
 
   engine::ProjectionExprs proj = engine::ExpandSelect(spec_, working.schema());
   Relation source;

@@ -167,15 +167,13 @@ class PhysicalPlan {
     PhysicalNode* top = nullptr;  // root of this group's subtree
   };
 
-  /// A join step in execution (bottom-up, FROM/JOIN) order.
-  struct JoinStep {
-    const planner::PlanNode* logical = nullptr;
-    PhysicalNode* node = nullptr;
-  };
-
   PhysicalPlan() = default;
 
   PhysicalNode* NewNode(std::string label);
+
+  /// The schema `group` materialises in (DB instance or LLM key plus
+  /// needed columns), known at compile time.
+  static Schema GroupSchema(const TableGroup& group);
 
   /// Splices a residual-filter operator above `group`'s subtree after a
   /// predicate-subsumption cache hit, so Explain shows the in-memory
@@ -204,16 +202,16 @@ class PhysicalPlan {
   PhysicalNode* root_ = nullptr;
 
   std::vector<TableGroup> groups_;  // FROM order
-  std::vector<JoinStep> joins_;     // execution order (groups_[i+1] joins)
+  /// Join routing and the engine-side WHERE residue (null when fully
+  /// consumed by scan filters), decided at compile time.
+  engine::JoinPlan join_plan_;
+  std::vector<PhysicalNode*> join_nodes_;  // parallel to join_plan_.steps
 
   /// Pre-materialised tables by alias (SetOverlays); consumed by
   /// MaterialiseAll in place of the matching group's LLM phases.
   std::vector<TableOverlay> overlays_;
 
-  /// Engine-side WHERE residue (null when fully consumed by scan
-  /// filters) and its node.
-  const sql::Expr* residual_ = nullptr;
-  PhysicalNode* filter_node_ = nullptr;
+  PhysicalNode* filter_node_ = nullptr;  // the WHERE residue's operator
 
   engine::TailSpec spec_;  // views into plan_'s expressions
   PhysicalNode* aggregate_node_ = nullptr;

@@ -11,36 +11,36 @@ namespace galois::engine {
 using sql::SelectStatement;
 
 Result<Relation> ExecuteOnRelations(const SelectStatement& stmt,
-                                    const std::vector<BoundRelation>& bases) {
+                                    std::vector<BoundRelation> bases) {
+  if (stmt.from.empty()) {
+    return Status::InvalidArgument("ExecuteOnRelations: no FROM relation");
+  }
   size_t expected = stmt.from.size() + stmt.joins.size();
   if (bases.size() != expected) {
     return Status::InvalidArgument(
         "ExecuteOnRelations: got " + std::to_string(bases.size()) +
         " base relations, query references " + std::to_string(expected));
   }
-  // 1. FROM: cross join the comma-separated relations.
-  Relation working = bases[0].second;
-  for (size_t i = 1; i < stmt.from.size(); ++i) {
-    GALOIS_ASSIGN_OR_RETURN(working, CrossJoin(working, bases[i].second));
+  // 1-3. FROM: the comma-separated relations, then the explicit
+  // JOIN ... ON clauses left to right, then WHERE — routed by the same
+  // helper the plan-driven physical executor uses.
+  std::vector<Schema> schemas;
+  std::vector<Relation> relations;
+  schemas.reserve(bases.size());
+  relations.reserve(bases.size());
+  for (BoundRelation& base : bases) {
+    schemas.push_back(base.second.schema());
+    relations.push_back(std::move(base.second));
   }
-  // 2. Explicit JOIN ... ON clauses, left to right.
-  for (size_t j = 0; j < stmt.joins.size(); ++j) {
-    const sql::JoinClause& clause = stmt.joins[j];
-    const Relation& right = bases[stmt.from.size() + j].second;
-    if (!clause.condition) {
-      GALOIS_ASSIGN_OR_RETURN(working, CrossJoin(working, right));
-    } else if (clause.type == sql::JoinType::kLeft) {
-      GALOIS_ASSIGN_OR_RETURN(
-          working, LeftOuterJoin(working, right, *clause.condition));
-    } else {
-      GALOIS_ASSIGN_OR_RETURN(
-          working, NestedLoopJoin(working, right, *clause.condition));
-    }
+  std::vector<JoinInput> inputs(stmt.from.size() - 1);
+  for (const sql::JoinClause& clause : stmt.joins) {
+    inputs.push_back({clause.condition.get(), clause.type});
   }
-  // 3. WHERE.
-  if (stmt.where) {
-    GALOIS_ASSIGN_OR_RETURN(working, Filter(working, *stmt.where));
-  }
+  GALOIS_ASSIGN_OR_RETURN(
+      Relation working,
+      ExecuteJoinChain(PlanJoins(std::move(schemas), std::move(inputs),
+                                 stmt.where.get()),
+                       std::move(relations)));
 
   // 4-6. Relational tail — the exact stages the plan-driven physical
   // executor runs (engine/relational_stages.h), so the two paths share one
@@ -95,7 +95,7 @@ Result<Relation> ExecuteSelect(const SelectStatement& stmt,
   for (const sql::JoinClause& j : stmt.joins) {
     GALOIS_RETURN_IF_ERROR(materialise(j.table));
   }
-  return ExecuteOnRelations(stmt, bases);
+  return ExecuteOnRelations(stmt, std::move(bases));
 }
 
 Result<Relation> ExecuteSql(const std::string& query,

@@ -23,7 +23,7 @@ using BoundRelation = std::pair<std::string, Relation>;
 /// prompting the LLM (Section 4: "Once the tuples are completed, regular
 /// operators ... are executed on those").
 Result<Relation> ExecuteOnRelations(const sql::SelectStatement& stmt,
-                                    const std::vector<BoundRelation>& bases);
+                                    std::vector<BoundRelation> bases);
 
 /// Ground-truth executor: resolves every FROM/JOIN table to its catalog
 /// instance and runs the query; this produces the paper's R_D.

@@ -1,6 +1,6 @@
 #include "engine/expr_eval.h"
 
-#include <cmath>
+#include <algorithm>
 
 namespace galois::engine {
 
@@ -26,6 +26,20 @@ Tri ValueToTri(const Value& v) {
     return v.string_value().empty() ? Tri::kFalse : Tri::kTrue;
   }
   return Tri::kNull;
+}
+
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNotEq:
+    case BinaryOp::kLt:
+    case BinaryOp::kLtEq:
+    case BinaryOp::kGt:
+    case BinaryOp::kGtEq:
+      return true;
+    default:
+      return false;
+  }
 }
 
 Result<Value> EvalComparison(BinaryOp op, const Value& lhs,
@@ -111,8 +125,100 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
-Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
-                       const Tuple& tuple, const AggregateEnv* agg_env) {
+BoundExpr::BoundExpr(const Expr& expr, const Schema& schema,
+                     const AggregateLayout* aggregates)
+    : schema_(&schema), root_(Bind(expr, schema, aggregates)) {}
+
+BoundExpr::Node BoundExpr::Bind(const Expr& expr, const Schema& schema,
+                                const AggregateLayout* aggregates) {
+  Node node;
+  node.expr = &expr;
+  if (expr.kind == ExprKind::kColumnRef) {
+    auto idx = schema.ResolveQualified(expr.table, expr.column);
+    if (idx.ok()) node.slot = idx.value();
+    return node;
+  }
+  if (expr.kind == ExprKind::kFunction) {
+    // Aggregate calls read their value from the row; arguments are never
+    // evaluated here, so they stay unbound.
+    if (aggregates != nullptr && aggregates->keys != nullptr) {
+      const std::vector<std::string>& keys = *aggregates->keys;
+      auto it = std::find(keys.begin(), keys.end(), expr.ToString());
+      if (it != keys.end()) {
+        node.slot = aggregates->first_column +
+                    static_cast<size_t>(it - keys.begin());
+      }
+    }
+    return node;
+  }
+  node.children.reserve(expr.children.size());
+  for (const auto& child : expr.children) {
+    node.children.push_back(Bind(*child, schema, aggregates));
+  }
+  return node;
+}
+
+bool BoundExpr::CannotRaise() const { return CannotRaise(root_); }
+
+bool BoundExpr::CannotRaise(const Node& node) {
+  const Expr& e = *node.expr;
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return true;
+    case ExprKind::kColumnRef:
+    case ExprKind::kFunction:
+      return node.slot != kUnbound;
+    case ExprKind::kStar:
+      return false;
+    case ExprKind::kUnary:
+      if (e.unary_op != UnaryOp::kNot) return false;  // negate: strings
+      break;
+    case ExprKind::kBinary:
+      switch (e.binary_op) {
+        case BinaryOp::kAnd:
+        case BinaryOp::kOr:
+        case BinaryOp::kEq:
+        case BinaryOp::kNotEq:
+        case BinaryOp::kLt:
+        case BinaryOp::kLtEq:
+        case BinaryOp::kGt:
+        case BinaryOp::kGtEq:
+          break;
+        default:
+          return false;  // arithmetic and LIKE type-check their operands
+      }
+      break;
+    case ExprKind::kBetween:
+    case ExprKind::kInList:
+    case ExprKind::kIsNull:
+      break;
+  }
+  for (const Node& child : node.children) {
+    if (!CannotRaise(child)) return false;
+  }
+  return true;
+}
+
+const Value* BoundExpr::Peek(const Node& node, const Tuple& tuple) {
+  if (node.expr->kind == ExprKind::kLiteral) return &node.expr->literal;
+  if (node.expr->kind == ExprKind::kColumnRef && node.slot < tuple.size()) {
+    return &tuple[node.slot];
+  }
+  return nullptr;
+}
+
+Result<Value> BoundExpr::Eval(const Tuple& tuple) const {
+  return EvalNode(root_, tuple);
+}
+
+Result<bool> BoundExpr::Test(const Tuple& tuple) const {
+  GALOIS_ASSIGN_OR_RETURN(Value v, EvalNode(root_, tuple));
+  return ValueToTri(v) == Tri::kTrue;
+}
+
+Result<Value> BoundExpr::EvalNode(const Node& node,
+                                  const Tuple& tuple) const {
+  const Expr& expr = *node.expr;
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
@@ -120,16 +226,18 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
       return Status::ExecutionError(
           "'*' is only valid inside COUNT(*) or as the whole select list");
     case ExprKind::kColumnRef: {
-      GALOIS_ASSIGN_OR_RETURN(
-          size_t idx, schema.ResolveQualified(expr.table, expr.column));
+      size_t idx = node.slot;
+      if (idx == kUnbound) {
+        GALOIS_ASSIGN_OR_RETURN(
+            idx, schema_->ResolveQualified(expr.table, expr.column));
+      }
       if (idx >= tuple.size()) {
         return Status::Internal("tuple narrower than schema");
       }
       return tuple[idx];
     }
     case ExprKind::kUnary: {
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*expr.children[0], schema, tuple, agg_env));
+      GALOIS_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], tuple));
       if (expr.unary_op == UnaryOp::kNot) {
         Tri t = ValueToTri(v);
         if (t == Tri::kNull) return Value::Null();
@@ -144,8 +252,7 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
     case ExprKind::kBinary: {
       if (expr.binary_op == BinaryOp::kAnd ||
           expr.binary_op == BinaryOp::kOr) {
-        GALOIS_ASSIGN_OR_RETURN(
-            Value lv, EvalExpr(*expr.children[0], schema, tuple, agg_env));
+        GALOIS_ASSIGN_OR_RETURN(Value lv, EvalNode(node.children[0], tuple));
         Tri lt = ValueToTri(lv);
         if (expr.binary_op == BinaryOp::kAnd && lt == Tri::kFalse) {
           return Value::Bool(false);
@@ -153,8 +260,7 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
         if (expr.binary_op == BinaryOp::kOr && lt == Tri::kTrue) {
           return Value::Bool(true);
         }
-        GALOIS_ASSIGN_OR_RETURN(
-            Value rv, EvalExpr(*expr.children[1], schema, tuple, agg_env));
+        GALOIS_ASSIGN_OR_RETURN(Value rv, EvalNode(node.children[1], tuple));
         Tri rt = ValueToTri(rv);
         if (expr.binary_op == BinaryOp::kAnd) {
           if (rt == Tri::kFalse) return Value::Bool(false);
@@ -165,10 +271,17 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
         if (lt == Tri::kNull || rt == Tri::kNull) return Value::Null();
         return Value::Bool(false);
       }
-      GALOIS_ASSIGN_OR_RETURN(
-          Value lhs, EvalExpr(*expr.children[0], schema, tuple, agg_env));
-      GALOIS_ASSIGN_OR_RETURN(
-          Value rhs, EvalExpr(*expr.children[1], schema, tuple, agg_env));
+      if (IsComparison(expr.binary_op)) {
+        // Literal and bound-column operands cannot fail: compare them in
+        // place instead of copying them out of the tuple.
+        const Value* l = Peek(node.children[0], tuple);
+        const Value* r = Peek(node.children[1], tuple);
+        if (l != nullptr && r != nullptr) {
+          return EvalComparison(expr.binary_op, *l, *r);
+        }
+      }
+      GALOIS_ASSIGN_OR_RETURN(Value lhs, EvalNode(node.children[0], tuple));
+      GALOIS_ASSIGN_OR_RETURN(Value rhs, EvalNode(node.children[1], tuple));
       switch (expr.binary_op) {
         case BinaryOp::kEq:
         case BinaryOp::kNotEq:
@@ -197,33 +310,30 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
       }
     }
     case ExprKind::kFunction: {
-      if (agg_env != nullptr) {
-        auto it = agg_env->find(expr.ToString());
-        if (it != agg_env->end()) return it->second;
+      if (node.slot != kUnbound) {
+        if (node.slot >= tuple.size()) {
+          return Status::Internal("tuple narrower than aggregate layout");
+        }
+        return tuple[node.slot];
       }
       return Status::ExecutionError(
           "aggregate '" + expr.ToString() +
           "' evaluated outside an aggregation context");
     }
     case ExprKind::kBetween: {
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*expr.children[0], schema, tuple, agg_env));
-      GALOIS_ASSIGN_OR_RETURN(
-          Value lo, EvalExpr(*expr.children[1], schema, tuple, agg_env));
-      GALOIS_ASSIGN_OR_RETURN(
-          Value hi, EvalExpr(*expr.children[2], schema, tuple, agg_env));
+      GALOIS_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], tuple));
+      GALOIS_ASSIGN_OR_RETURN(Value lo, EvalNode(node.children[1], tuple));
+      GALOIS_ASSIGN_OR_RETURN(Value hi, EvalNode(node.children[2], tuple));
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
       return Value::Bool(v.Compare(lo) >= 0 && v.Compare(hi) <= 0);
     }
     case ExprKind::kInList: {
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*expr.children[0], schema, tuple, agg_env));
+      GALOIS_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], tuple));
       if (v.is_null()) return Value::Null();
       bool found = false;
       bool saw_null = false;
-      for (size_t i = 1; i < expr.children.size(); ++i) {
-        GALOIS_ASSIGN_OR_RETURN(
-            Value item, EvalExpr(*expr.children[i], schema, tuple, agg_env));
+      for (size_t i = 1; i < node.children.size(); ++i) {
+        GALOIS_ASSIGN_OR_RETURN(Value item, EvalNode(node.children[i], tuple));
         if (item.is_null()) {
           saw_null = true;
           continue;
@@ -237,8 +347,7 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
       return Value::Bool(expr.negated ? !found : found);
     }
     case ExprKind::kIsNull: {
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*expr.children[0], schema, tuple, agg_env));
+      GALOIS_ASSIGN_OR_RETURN(Value v, EvalNode(node.children[0], tuple));
       bool is_null = v.is_null();
       return Value::Bool(expr.negated ? !is_null : is_null);
     }
@@ -246,10 +355,14 @@ Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
   return Status::Internal("unhandled expression kind");
 }
 
+Result<Value> EvalExpr(const Expr& expr, const Schema& schema,
+                       const Tuple& tuple) {
+  return BoundExpr(expr, schema).Eval(tuple);
+}
+
 Result<bool> EvalPredicate(const Expr& expr, const Schema& schema,
-                           const Tuple& tuple, const AggregateEnv* agg_env) {
-  GALOIS_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, schema, tuple, agg_env));
-  return ValueToTri(v) == Tri::kTrue;
+                           const Tuple& tuple) {
+  return BoundExpr(expr, schema).Test(tuple);
 }
 
 }  // namespace galois::engine

@@ -1,8 +1,11 @@
 #include "engine/operators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "engine/expr_eval.h"
 
@@ -21,6 +24,23 @@ struct TupleKeyLess {
     return a.size() < b.size();
   }
 };
+
+/// HashJoin's key index: Value hashing and equality (Value::Hash agrees
+/// with Compare == 0 on every non-NULL, non-NaN value).
+struct KeyHash {
+  size_t operator()(const Value* v) const { return v->Hash(); }
+};
+struct KeyEq {
+  bool operator()(const Value* a, const Value* b) const { return *a == *b; }
+};
+
+std::vector<BoundExpr> BindAll(const std::vector<const sql::Expr*>& exprs,
+                               const Schema& schema) {
+  std::vector<BoundExpr> bound;
+  bound.reserve(exprs.size());
+  for (const sql::Expr* e : exprs) bound.emplace_back(*e, schema);
+  return bound;
+}
 
 Tuple ConcatTuples(const Tuple& a, const Tuple& b) {
   Tuple out;
@@ -78,9 +98,9 @@ struct AggState {
 
 Result<Relation> Filter(const Relation& input, const sql::Expr& predicate) {
   Relation out(input.schema());
+  const BoundExpr bound(predicate, input.schema());
   for (const Tuple& row : input.rows()) {
-    GALOIS_ASSIGN_OR_RETURN(bool keep,
-                            EvalPredicate(predicate, input.schema(), row));
+    GALOIS_ASSIGN_OR_RETURN(bool keep, bound.Test(row));
     if (keep) out.AddRowUnchecked(row);
   }
   return out;
@@ -102,25 +122,48 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
       right_col >= right.schema().size()) {
     return Status::InvalidArgument("join column index out of range");
   }
+  // Every key cell must exist. NaN compares equal to every number but
+  // hashes like none of them, so a NaN key sends the join down the
+  // pairwise path instead.
+  bool nan_key = false;
+  for (const auto& [rel, col] : {std::pair(&left, left_col),
+                                 std::pair(&right, right_col)}) {
+    for (const Tuple& row : rel->rows()) {
+      if (col >= row.size()) {
+        return Status::Internal("tuple narrower than schema");
+      }
+      nan_key = nan_key || (row[col].type() == DataType::kDouble &&
+                            std::isnan(row[col].double_value()));
+    }
+  }
   Relation out(Schema::Concat(left.schema(), right.schema()));
-  // Build on the smaller side conceptually; rows are small here so build
-  // on the right for simplicity.
-  std::unordered_multimap<size_t, size_t> build;  // hash -> right row idx
+  if (nan_key) {
+    for (const Tuple& l : left.rows()) {
+      for (const Tuple& r : right.rows()) {
+        if (l[left_col].SqlEquals(r[right_col])) {
+          out.AddRowUnchecked(ConcatTuples(l, r));
+        }
+      }
+    }
+    return out;
+  }
+  // Build: one list of right rows per distinct key, in ascending row
+  // order, so probing the left rows in order emits the matching pairs in
+  // exactly the order CrossJoin followed by an equality Filter keeps them.
+  std::unordered_map<const Value*, std::vector<size_t>, KeyHash, KeyEq> build;
   build.reserve(right.NumRows());
   for (size_t i = 0; i < right.NumRows(); ++i) {
-    const Value& key = right.At(i, right_col);
+    const Value& key = right.row(i)[right_col];
     if (key.is_null()) continue;
-    build.emplace(key.Hash(), i);
+    build[&key].push_back(i);
   }
   for (const Tuple& l : left.rows()) {
     const Value& key = l[left_col];
     if (key.is_null()) continue;
-    auto [lo, hi] = build.equal_range(key.Hash());
-    for (auto it = lo; it != hi; ++it) {
-      const Tuple& r = right.row(it->second);
-      if (key.Compare(r[right_col]) == 0) {
-        out.AddRowUnchecked(ConcatTuples(l, r));
-      }
+    auto it = build.find(&key);
+    if (it == build.end()) continue;
+    for (size_t i : it->second) {
+      out.AddRowUnchecked(ConcatTuples(l, right.row(i)));
     }
   }
   return out;
@@ -128,13 +171,12 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
 
 Result<Relation> NestedLoopJoin(const Relation& left, const Relation& right,
                                 const sql::Expr& predicate) {
-  Schema joined = Schema::Concat(left.schema(), right.schema());
-  Relation out(joined);
+  Relation out(Schema::Concat(left.schema(), right.schema()));
+  const BoundExpr bound(predicate, out.schema());
   for (const Tuple& l : left.rows()) {
     for (const Tuple& r : right.rows()) {
       Tuple combined = ConcatTuples(l, r);
-      GALOIS_ASSIGN_OR_RETURN(bool keep,
-                              EvalPredicate(predicate, joined, combined));
+      GALOIS_ASSIGN_OR_RETURN(bool keep, bound.Test(combined));
       if (keep) out.AddRowUnchecked(std::move(combined));
     }
   }
@@ -143,14 +185,13 @@ Result<Relation> NestedLoopJoin(const Relation& left, const Relation& right,
 
 Result<Relation> LeftOuterJoin(const Relation& left, const Relation& right,
                                const sql::Expr& predicate) {
-  Schema joined = Schema::Concat(left.schema(), right.schema());
-  Relation out(joined);
+  Relation out(Schema::Concat(left.schema(), right.schema()));
+  const BoundExpr bound(predicate, out.schema());
   for (const Tuple& l : left.rows()) {
     bool matched = false;
     for (const Tuple& r : right.rows()) {
       Tuple combined = ConcatTuples(l, r);
-      GALOIS_ASSIGN_OR_RETURN(bool keep,
-                              EvalPredicate(predicate, joined, combined));
+      GALOIS_ASSIGN_OR_RETURN(bool keep, bound.Test(combined));
       if (keep) {
         matched = true;
         out.AddRowUnchecked(std::move(combined));
@@ -158,7 +199,7 @@ Result<Relation> LeftOuterJoin(const Relation& left, const Relation& right,
     }
     if (!matched) {
       Tuple padded = l;
-      padded.resize(joined.size(), Value::Null());
+      padded.resize(out.schema().size(), Value::Null());
       out.AddRowUnchecked(std::move(padded));
     }
   }
@@ -187,11 +228,12 @@ Result<Relation> Project(const Relation& input,
     out_schema.AddColumn(Column(names[i], type));
   }
   Relation out(out_schema);
+  const std::vector<BoundExpr> bound = BindAll(exprs, input.schema());
   for (const Tuple& row : input.rows()) {
     Tuple projected;
-    projected.reserve(exprs.size());
-    for (const sql::Expr* e : exprs) {
-      GALOIS_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, input.schema(), row));
+    projected.reserve(bound.size());
+    for (const BoundExpr& e : bound) {
+      GALOIS_ASSIGN_OR_RETURN(Value v, e.Eval(row));
       projected.push_back(std::move(v));
     }
     out.AddRowUnchecked(std::move(projected));
@@ -202,14 +244,18 @@ Result<Relation> Project(const Relation& input,
 Result<Relation> Sort(const Relation& input,
                       const std::vector<sql::OrderItem>& items) {
   // Precompute sort keys so evaluation errors surface before sorting.
+  std::vector<BoundExpr> bound;
+  bound.reserve(items.size());
+  for (const sql::OrderItem& item : items) {
+    bound.emplace_back(*item.expr, input.schema());
+  }
   std::vector<std::pair<Tuple, size_t>> keyed;
   keyed.reserve(input.NumRows());
   for (size_t i = 0; i < input.NumRows(); ++i) {
     Tuple key;
-    key.reserve(items.size());
-    for (const sql::OrderItem& item : items) {
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*item.expr, input.schema(), input.row(i)));
+    key.reserve(bound.size());
+    for (const BoundExpr& e : bound) {
+      GALOIS_ASSIGN_OR_RETURN(Value v, e.Eval(input.row(i)));
       key.push_back(std::move(v));
     }
     keyed.emplace_back(std::move(key), i);
@@ -250,12 +296,30 @@ Result<Relation> HashAggregate(
   // group key -> (representative input row idx, per-aggregate state)
   std::map<Tuple, std::pair<size_t, std::vector<AggState>>, TupleKeyLess>
       groups;
+  const std::vector<BoundExpr> bound_groups =
+      BindAll(group_exprs, input.schema());
+  // Per aggregate: its bound argument, or none for COUNT(*).
+  std::vector<std::optional<BoundExpr>> bound_args;
+  bound_args.reserve(aggregates.size());
+  for (const AggregateSpec& spec : aggregates) {
+    const sql::Expr& call = *spec.call;
+    bool is_count_star = call.function_name == "COUNT" &&
+                         !call.children.empty() &&
+                         call.children[0]->kind == sql::ExprKind::kStar;
+    if (is_count_star) {
+      bound_args.emplace_back();
+    } else {
+      bound_args.emplace_back(std::in_place, *call.children[0],
+                              input.schema());
+    }
+  }
+  const Value one = Value::Int(1);
   for (size_t r = 0; r < input.NumRows(); ++r) {
     const Tuple& row = input.row(r);
     Tuple key;
-    key.reserve(group_exprs.size());
-    for (const sql::Expr* g : group_exprs) {
-      GALOIS_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, input.schema(), row));
+    key.reserve(bound_groups.size());
+    for (const BoundExpr& g : bound_groups) {
+      GALOIS_ASSIGN_OR_RETURN(Value v, g.Eval(row));
       key.push_back(std::move(v));
     }
     auto [it, inserted] = groups.try_emplace(
@@ -263,17 +327,12 @@ Result<Relation> HashAggregate(
     auto& [rep, states] = it->second;
     (void)rep;
     for (size_t a = 0; a < aggregates.size(); ++a) {
-      const sql::Expr& call = *aggregates[a].call;
-      bool is_count_star = call.function_name == "COUNT" &&
-                           !call.children.empty() &&
-                           call.children[0]->kind == sql::ExprKind::kStar;
-      if (is_count_star) {
-        states[a].Accumulate(Value::Int(1), /*distinct=*/false);
+      if (!bound_args[a].has_value()) {
+        states[a].Accumulate(one, /*distinct=*/false);
         continue;
       }
-      GALOIS_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*call.children[0], input.schema(), row));
-      states[a].Accumulate(v, call.distinct);
+      GALOIS_ASSIGN_OR_RETURN(Value v, bound_args[a]->Eval(row));
+      states[a].Accumulate(v, aggregates[a].call->distinct);
     }
   }
   // Output schema: group columns then aggregate columns.

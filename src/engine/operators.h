@@ -21,7 +21,11 @@ Result<Relation> Filter(const Relation& input, const sql::Expr& predicate);
 Result<Relation> CrossJoin(const Relation& left, const Relation& right);
 
 /// Equi-join via build/probe hash table on `left_col` = `right_col`
-/// (column indices into the respective schemas). NULL keys never match.
+/// (column indices into the respective schemas). NULL keys never match;
+/// keys match when Value::Compare says equal (3 matches 3.0). The build
+/// side keeps one list of right rows per key in ascending row order, so
+/// the output — rows and their order — is exactly CrossJoin followed by a
+/// Filter on the equality.
 Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           size_t left_col, size_t right_col);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -47,7 +48,187 @@ std::string OutputName(const SelectItemView& item) {
   return item.expr->ToString();
 }
 
+/// If `conjunct` is `col = col` with one column, resolved in `schema`,
+/// inside [0, left_width) and the other inside [left_width, left_width +
+/// right_width), returns (left index, index into the right base).
+std::optional<std::pair<size_t, size_t>> KeyColumns(const Expr& conjunct,
+                                                    const Schema& schema,
+                                                    size_t left_width,
+                                                    size_t right_width) {
+  if (conjunct.kind != ExprKind::kBinary ||
+      conjunct.binary_op != sql::BinaryOp::kEq) {
+    return std::nullopt;
+  }
+  const Expr& a = *conjunct.children[0];
+  const Expr& b = *conjunct.children[1];
+  if (a.kind != ExprKind::kColumnRef || b.kind != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  auto ia = schema.ResolveQualified(a.table, a.column);
+  auto ib = schema.ResolveQualified(b.table, b.column);
+  if (!ia.ok() || !ib.ok()) return std::nullopt;
+  auto [lo, hi] = std::minmax(ia.value(), ib.value());
+  if (lo >= left_width || hi < left_width ||
+      hi >= left_width + right_width) {
+    return std::nullopt;
+  }
+  return std::make_pair(lo, hi - left_width);
+}
+
+/// "ci.country = co.name" for a `col = col` key conjunct.
+std::string KeyText(const Expr& key) {
+  return key.children[0]->ToString() + " = " + key.children[1]->ToString();
+}
+
+Result<Relation> RunJoin(const JoinRoute& step, const Relation& left,
+                         const Relation& right) {
+  switch (step.method) {
+    case JoinRoute::Method::kCross:
+      return CrossJoin(left, right);
+    case JoinRoute::Method::kHash: {
+      GALOIS_ASSIGN_OR_RETURN(
+          Relation joined,
+          HashJoin(left, right, step.left_col, step.right_col));
+      if (step.condition == nullptr || step.condition == step.key) {
+        return joined;
+      }
+      return Filter(joined, *step.condition);
+    }
+    case JoinRoute::Method::kNestedLoop:
+      return NestedLoopJoin(left, right, *step.condition);
+    case JoinRoute::Method::kLeftOuter:
+      return LeftOuterJoin(left, right, *step.condition);
+  }
+  return Status::Internal("unhandled join method");
+}
+
 }  // namespace
+
+std::string JoinRoute::Label() const {
+  const std::string reason = fallback.empty() ? "" : " (" + fallback + ")";
+  switch (method) {
+    case Method::kCross:
+      return "CrossJoin" + reason;
+    case Method::kHash: {
+      std::string label = "HashJoin ON " + KeyText(*key);
+      if (condition != nullptr && condition != key) {
+        label += " (re-check ON " + condition->ToString() + ")";
+      }
+      return label;
+    }
+    case Method::kNestedLoop:
+      return "NestedLoopJoin ON " + condition->ToString() + reason;
+    case Method::kLeftOuter:
+      return "LeftOuterJoin ON " + condition->ToString();
+  }
+  return "Join";
+}
+
+JoinPlan PlanJoins(std::vector<Schema> bases, std::vector<JoinInput> inputs,
+                   const Expr* where) {
+  JoinPlan plan;
+  plan.where = where;
+  const size_t n = inputs.size();
+  // joined[i]: the output schema of join i; joined[n - 1] is the schema
+  // the WHERE evaluates against.
+  std::vector<Schema> joined;
+  joined.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    joined.push_back(
+        Schema::Concat(i == 0 ? bases[0] : joined[i - 1], bases[i + 1]));
+  }
+  const Schema& final_schema = n == 0 ? bases[0] : joined[n - 1];
+  // safe_from[i]: no predicate evaluated by join i or after it can raise.
+  std::vector<bool> safe_from(n + 1);
+  safe_from[n] =
+      where == nullptr || BoundExpr(*where, final_schema).CannotRaise();
+  for (size_t i = n; i-- > 0;) {
+    safe_from[i] = safe_from[i + 1] &&
+                   (inputs[i].condition == nullptr ||
+                    BoundExpr(*inputs[i].condition, joined[i]).CannotRaise());
+  }
+  std::vector<const Expr*> where_conjuncts;
+  if (where != nullptr) sql::FlattenConjuncts(where, &where_conjuncts);
+
+  size_t left_width = bases[0].size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t right_width = bases[i + 1].size();
+    JoinRoute route;
+    route.condition = inputs[i].condition;
+    if (route.condition == nullptr) {
+      route.method = JoinRoute::Method::kCross;
+    } else if (inputs[i].type == sql::JoinType::kLeft) {
+      route.method = JoinRoute::Method::kLeftOuter;
+    } else {
+      route.method = JoinRoute::Method::kNestedLoop;
+    }
+    if (route.method != JoinRoute::Method::kLeftOuter) {
+      // Candidate keys: the ON conjuncts (over this join's output), then
+      // the WHERE conjuncts (over the final schema, whose prefix this
+      // join's output is).
+      std::vector<std::pair<const Expr*, const Schema*>> candidates;
+      if (route.condition != nullptr) {
+        std::vector<const Expr*> on;
+        sql::FlattenConjuncts(route.condition, &on);
+        for (const Expr* c : on) candidates.emplace_back(c, &joined[i]);
+      }
+      for (const Expr* c : where_conjuncts) {
+        candidates.emplace_back(c, &final_schema);
+      }
+      for (const auto& [conjunct, schema] : candidates) {
+        auto cols = KeyColumns(*conjunct, *schema, left_width, right_width);
+        if (!cols.has_value()) continue;
+        if (!safe_from[i]) {
+          route.fallback = "no hash on " + KeyText(*conjunct) +
+                           ": a predicate may raise on skipped rows";
+          break;
+        }
+        route.method = JoinRoute::Method::kHash;
+        route.key = conjunct;
+        route.left_col = cols->first;
+        route.right_col = cols->second;
+        break;
+      }
+    }
+    plan.steps.push_back(std::move(route));
+    left_width += right_width;
+  }
+  plan.bases = std::move(bases);
+  plan.inputs = std::move(inputs);
+  return plan;
+}
+
+Result<Relation> ExecuteJoinChain(const JoinPlan& plan,
+                                  std::vector<Relation> bases,
+                                  JoinChainRows* rows) {
+  if (bases.size() != plan.bases.size()) {
+    return Status::InvalidArgument(
+        "join chain: got " + std::to_string(bases.size()) +
+        " base relations, planned for " + std::to_string(plan.bases.size()));
+  }
+  for (size_t i = 0; i < bases.size(); ++i) {
+    if (bases[i].schema() == plan.bases[i]) continue;
+    // A base arrived in another shape than planned for (e.g. a remote
+    // shard): route again against the schemas actually present.
+    std::vector<Schema> actual;
+    actual.reserve(bases.size());
+    for (const Relation& b : bases) actual.push_back(b.schema());
+    return ExecuteJoinChain(PlanJoins(std::move(actual), plan.inputs,
+                                      plan.where),
+                            std::move(bases), rows);
+  }
+  Relation working = std::move(bases[0]);
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    GALOIS_ASSIGN_OR_RETURN(working,
+                            RunJoin(plan.steps[i], working, bases[i + 1]));
+    if (rows != nullptr) rows->steps.push_back(working.NumRows());
+  }
+  if (plan.where != nullptr) {
+    GALOIS_ASSIGN_OR_RETURN(working, Filter(working, *plan.where));
+  }
+  if (rows != nullptr) rows->filtered = working.NumRows();
+  return working;
+}
 
 TailSpec TailSpecFromStatement(const sql::SelectStatement& stmt) {
   TailSpec spec;
@@ -147,39 +328,40 @@ Result<ProjectedRows> ProjectAndFilter(
   ProjectedRows out;
   out.values.reserve(source.NumRows());
   out.order_keys.reserve(source.NumRows());
-  std::vector<const Expr*> order_exprs;
+  // Bind every expression once; aggregate calls read the aggregated
+  // row's own columns.
+  const AggregateLayout layout{&agg_keys, num_group_cols};
+  const AggregateLayout* aggregates = use_agg_env ? &layout : nullptr;
+  const auto bind = [&](const Expr* e) {
+    return BoundExpr(*e, source.schema(), aggregates);
+  };
+  std::optional<BoundExpr> having;
+  if (spec.having != nullptr) having.emplace(bind(spec.having));
+  std::vector<BoundExpr> value_exprs;
+  value_exprs.reserve(proj.exprs.size());
+  for (const Expr* e : proj.exprs) value_exprs.push_back(bind(e));
+  std::vector<BoundExpr> order_exprs;
+  order_exprs.reserve(spec.order_by.size());
   for (const auto& item : spec.order_by) {
-    order_exprs.push_back(ResolveOrderAlias(item.expr, spec));
+    order_exprs.push_back(bind(ResolveOrderAlias(item.expr, spec)));
   }
   for (const Tuple& row : source.rows()) {
-    AggregateEnv env;
-    const AggregateEnv* env_ptr = nullptr;
-    if (use_agg_env) {
-      for (size_t a = 0; a < agg_keys.size(); ++a) {
-        env[agg_keys[a]] = row[num_group_cols + a];
-      }
-      env_ptr = &env;
-    }
     // HAVING filter (aggregate context), fused with the projection so
     // expression errors surface in the original per-row order.
-    if (spec.having != nullptr) {
-      GALOIS_ASSIGN_OR_RETURN(
-          bool keep,
-          EvalPredicate(*spec.having, source.schema(), row, env_ptr));
+    if (having.has_value()) {
+      GALOIS_ASSIGN_OR_RETURN(bool keep, having->Test(row));
       if (!keep) continue;
     }
     Tuple values;
-    values.reserve(proj.exprs.size());
-    for (const Expr* e : proj.exprs) {
-      GALOIS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*e, source.schema(), row, env_ptr));
+    values.reserve(value_exprs.size());
+    for (const BoundExpr& e : value_exprs) {
+      GALOIS_ASSIGN_OR_RETURN(Value v, e.Eval(row));
       values.push_back(std::move(v));
     }
     Tuple order_key;
     order_key.reserve(order_exprs.size());
-    for (const Expr* e : order_exprs) {
-      GALOIS_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(*e, source.schema(), row, env_ptr));
+    for (const BoundExpr& e : order_exprs) {
+      GALOIS_ASSIGN_OR_RETURN(Value v, e.Eval(row));
       order_key.push_back(std::move(v));
     }
     out.values.push_back(std::move(values));

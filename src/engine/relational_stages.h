@@ -11,16 +11,81 @@
 
 namespace galois::engine {
 
-/// The relational tail of a query — aggregation, HAVING, projection,
-/// ORDER BY — decomposed into reusable stages. ExecuteOnRelations and the
-/// physical operator DAG (core/physical_plan) both run EXACTLY these
-/// functions in the same order, so the statement-driven and plan-driven
-/// paths cannot diverge: there is one implementation of loose GROUP BY,
-/// alias resolution, star expansion, output-schema inference and sort
-/// semantics, not two.
+/// The relational tail of a query — joins, WHERE, aggregation, HAVING,
+/// projection, ORDER BY — decomposed into reusable stages.
+/// ExecuteOnRelations and the physical operator DAG (core/physical_plan)
+/// both run EXACTLY these functions in the same order, so the
+/// statement-driven and plan-driven paths cannot diverge: there is one
+/// implementation of join routing, loose GROUP BY, alias resolution,
+/// star expansion, output-schema inference and sort semantics, not two.
 ///
 /// The views below borrow expressions from their owner (a parsed
 /// SelectStatement or a logical plan); the owner must outlive the stages.
+
+/// One join of the left-deep FROM/JOIN chain, in execution order: join i
+/// combines the output of bases 0..i with base i+1. Comma-separated FROM
+/// entries have no condition.
+struct JoinInput {
+  const sql::Expr* condition = nullptr;  // ON condition; null when none
+  sql::JoinType type = sql::JoinType::kInner;
+};
+
+/// How one join executes, decided once per query by PlanJoins.
+struct JoinRoute {
+  enum class Method { kCross, kHash, kNestedLoop, kLeftOuter };
+  Method method = Method::kCross;
+  /// The ON condition: evaluated per pair by kNestedLoop/kLeftOuter,
+  /// re-checked on the matched pairs after kHash (skipped when it is
+  /// exactly the key).
+  const sql::Expr* condition = nullptr;
+  /// kHash: the `col = col` conjunct (from the ON condition or the WHERE)
+  /// whose columns key the hash table, as column indices into the left
+  /// input and the right base.
+  const sql::Expr* key = nullptr;
+  size_t left_col = 0;
+  size_t right_col = 0;
+  /// Why a usable equality key was left unused ("" when there was none).
+  std::string fallback;
+
+  /// Explain label: "HashJoin ON ci.country = co.name", "CrossJoin", ...
+  std::string Label() const;
+};
+
+/// The routing of a whole join chain plus the WHERE filter above it.
+struct JoinPlan {
+  std::vector<Schema> bases;  // the base schemas the routes were made for
+  std::vector<JoinInput> inputs;
+  std::vector<JoinRoute> steps;     // parallel to inputs
+  const sql::Expr* where = nullptr;  // engine-side WHERE; null when none
+};
+
+/// Decides every join's route. A join becomes a HashJoin when
+///   - it is a comma join, a condition-less JOIN or an inner JOIN ... ON;
+///   - a top-level conjunct of its ON condition or of the WHERE is
+///     `col = col` with one column in the join's left input and the other
+///     in its right base, both resolving unambiguously; and
+///   - no predicate evaluated from this join on (later ON conditions and
+///     the WHERE) can raise an error (BoundExpr::CannotRaise) — the hash
+///     join never evaluates them on the pairs it skips, so a predicate
+///     that raises on one of those would otherwise change the Status.
+/// The full ON condition and WHERE are still evaluated on the joined
+/// rows, so the result — rows, order and Status — is byte-identical to
+/// CrossJoin/NestedLoopJoin followed by the WHERE filter.
+JoinPlan PlanJoins(std::vector<Schema> bases, std::vector<JoinInput> inputs,
+                   const sql::Expr* where);
+
+/// Row counts of a join chain's stages, for operator statistics.
+struct JoinChainRows {
+  std::vector<size_t> steps;  // output rows per join
+  size_t filtered = 0;        // rows after the WHERE filter
+};
+
+/// Runs the planned joins over `bases` (one per FROM/JOIN entry, in
+/// order), then the WHERE filter. Bases whose schemas differ from the
+/// planned ones are re-planned first.
+Result<Relation> ExecuteJoinChain(const JoinPlan& plan,
+                                  std::vector<Relation> bases,
+                                  JoinChainRows* rows = nullptr);
 
 struct SelectItemView {
   const sql::Expr* expr = nullptr;

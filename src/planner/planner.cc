@@ -14,15 +14,6 @@ using sql::BinaryOp;
 using sql::Expr;
 using sql::ExprKind;
 
-void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out) {
-  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
-    FlattenConjuncts(e->children[0].get(), out);
-    FlattenConjuncts(e->children[1].get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
 /// Collects column names referenced with the given alias (or unqualified).
 void CollectColumns(const Expr& e, const std::string& alias,
                     const catalog::TableDef& def,
@@ -333,7 +324,7 @@ int OptimizeLlmFilters(PlanNode* root, bool merge_into_scan) {
   if (scan == nullptr) return rewritten;
   // The filter must be a conjunction of simple comparisons on the scan.
   std::vector<const Expr*> conjuncts;
-  FlattenConjuncts(root->predicate.get(), &conjuncts);
+  sql::FlattenConjuncts(root->predicate.get(), &conjuncts);
   // Fake TableDef lookup is not available here; accept column refs whose
   // alias matches the scan (the executor re-validates against the
   // catalog).
@@ -491,7 +482,7 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
   std::vector<const Expr*> conjuncts;
   std::set<const Expr*> consumed;
   if (where_filter != nullptr) {
-    FlattenConjuncts(where_filter->predicate.get(), &conjuncts);
+    sql::FlattenConjuncts(where_filter->predicate.get(), &conjuncts);
     if (options.llm_filter_checks) {
       for (const Expr* c : conjuncts) {
         if (c->kind != ExprKind::kBinary) continue;

@@ -85,8 +85,11 @@ struct PlanNode {
   sql::ExprPtr residual;
   bool annotated = false;
 
-  // kJoin: how the engine executes it (CrossJoin when predicate is null,
-  // LeftOuterJoin for kLeft, NestedLoopJoin otherwise).
+  // kJoin: inner or left. The engine routes the join at compile time
+  // (engine::PlanJoins): HashJoin when a `col = col` conjunct of the ON
+  // predicate or the WHERE crosses the join and no later predicate can
+  // raise; otherwise CrossJoin when predicate is null, LeftOuterJoin for
+  // kLeft, NestedLoopJoin for the rest.
   sql::JoinType join_type = sql::JoinType::kInner;
 
   // kRetrieve / kProject / kAggregate: column or expression lists. For

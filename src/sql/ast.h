@@ -133,6 +133,9 @@ void VisitExpr(const Expr& e, const std::function<void(const Expr&)>& fn);
 /// True if the expression contains an aggregate function call.
 bool ContainsAggregate(const Expr& e);
 
+/// Appends the top-level AND conjuncts of `e` to `out`, left to right.
+void FlattenConjuncts(const Expr* e, std::vector<const Expr*>* out);
+
 }  // namespace galois::sql
 
 #endif  // GALOIS_SQL_AST_H_

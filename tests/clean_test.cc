@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "clean/normalize.h"
 
 namespace galois::clean {
@@ -90,6 +92,17 @@ TEST(ParseNumberErrors, RejectsNonNumbers) {
   EXPECT_FALSE(ParseNumber("12 apples").ok());
 }
 
+TEST(ParseNumberErrors, RejectsNonFiniteAndNonDecimalForms) {
+  // strtod reads all of these; none is a decimal answer.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "0x10", "0x1p3", "1e400", "-1e400", "nank",
+                           "1e400 million"}) {
+    EXPECT_FALSE(ParseNumber(text).ok()) << text;
+  }
+  // Decimal exponents are still numbers.
+  EXPECT_DOUBLE_EQ(ParseNumber("1e3").value(), 1000.0);
+}
+
 struct DateCase {
   const char* text;
   int64_t packed;
@@ -157,6 +170,19 @@ TEST(NormalizeCellTest, UnparseableNumericBecomesNull) {
       NormalizeCell("lots", DataType::kInt64).value().is_null());
 }
 
+TEST(NormalizeCellTest, NonFiniteAnswersBecomeNull) {
+  for (const char* text : {"NaN", "inf", "-Infinity", "1e400", "0x10"}) {
+    EXPECT_TRUE(NormalizeCell(text, DataType::kInt64).value().is_null())
+        << text;
+    EXPECT_TRUE(NormalizeCell(text, DataType::kDouble).value().is_null())
+        << text;
+  }
+  // Finite but outside int64: NULL, not an unspecified llround result.
+  EXPECT_TRUE(NormalizeCell("1e300", DataType::kInt64).value().is_null());
+  EXPECT_EQ(NormalizeCell("1e300", DataType::kDouble).value(),
+            Value::Double(1e300));
+}
+
 TEST(NormalizeCellTest, DomainConstraintRejectsOutliers) {
   DomainConstraint year{1000.0, 2100.0};
   EXPECT_EQ(NormalizeCell("1984", DataType::kInt64, &year).value(),
@@ -207,6 +233,11 @@ TEST(DomainTest, UnconstrainedAdmitsEverything) {
   DomainConstraint d;
   EXPECT_TRUE(d.Admits(-1e18));
   EXPECT_TRUE(d.Admits(1e18));
+}
+
+TEST(DomainTest, NaNIsNeverAdmitted) {
+  EXPECT_FALSE(DomainConstraint{}.Admits(std::nan("")));
+  EXPECT_FALSE(DefaultDomainForColumn("population").Admits(std::nan("")));
 }
 
 }  // namespace

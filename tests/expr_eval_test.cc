@@ -24,10 +24,10 @@ Tuple TestRow() {
 }
 
 /// Evaluates the WHERE expression of "SELECT x FROM t WHERE <pred>".
-Value EvalWhere(const std::string& pred, const AggregateEnv* env = nullptr) {
+Value EvalWhere(const std::string& pred) {
   auto stmt = ParseSelect("SELECT name FROM t WHERE " + pred);
   EXPECT_TRUE(stmt.ok()) << stmt.status();
-  auto v = EvalExpr(*stmt.value().where, TestSchema(), TestRow(), env);
+  auto v = EvalExpr(*stmt.value().where, TestSchema(), TestRow());
   EXPECT_TRUE(v.ok()) << pred << " -> " << v.status();
   return v.value_or(Value::Null());
 }
@@ -126,17 +126,49 @@ TEST(ExprEvalTest, LikeMatchFunction) {
   EXPECT_TRUE(LikeMatch("a%b", "a%b"));
 }
 
-TEST(ExprEvalTest, AggregateEnvLookup) {
-  AggregateEnv env;
-  env["COUNT(*)"] = Value::Int(5);
-  EXPECT_EQ(EvalWhere("COUNT(*) > 3", &env), Value::Bool(true));
-  EXPECT_EQ(EvalWhere("COUNT(*) + 1 = 6", &env), Value::Bool(true));
+TEST(ExprEvalTest, AggregateLayoutLookup) {
+  // An aggregated row: COUNT(*) is the column after the test columns.
+  const std::vector<std::string> keys = {"COUNT(*)"};
+  const AggregateLayout layout{&keys, TestSchema().size()};
+  Schema schema = TestSchema();
+  schema.AddColumn(Column("COUNT(*)", DataType::kInt64));
+  Tuple row = TestRow();
+  row.push_back(Value::Int(5));
+  for (const char* pred : {"COUNT(*) > 3", "COUNT(*) + 1 = 6"}) {
+    auto stmt = ParseSelect(std::string("SELECT name FROM t WHERE ") + pred);
+    ASSERT_TRUE(stmt.ok());
+    auto v = BoundExpr(*stmt.value().where, schema, &layout).Eval(row);
+    ASSERT_TRUE(v.ok()) << pred << " -> " << v.status();
+    EXPECT_EQ(v.value(), Value::Bool(true)) << pred;
+  }
+}
+
+TEST(ExprEvalTest, UnboundReferenceRaisesPerRow) {
+  // Binding never fails: an unknown column raises when a row is
+  // evaluated, with the by-name error, and CannotRaise reports it.
+  auto stmt = ParseSelect("SELECT name FROM t WHERE nosuch = 1 OR pop > 0");
+  ASSERT_TRUE(stmt.ok());
+  const Schema schema = TestSchema();
+  BoundExpr bound(*stmt.value().where, schema);
+  EXPECT_FALSE(bound.CannotRaise());
+  auto v = bound.Eval(TestRow());
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kBindError);
+
+  auto safe = ParseSelect(
+      "SELECT name FROM t WHERE t.pop > 1 AND maybe IS NULL AND name IN "
+      "('Rome', NULL) AND NOT (gdp BETWEEN 1 AND 2)");
+  ASSERT_TRUE(safe.ok());
+  EXPECT_TRUE(BoundExpr(*safe.value().where, schema).CannotRaise());
+  auto like = ParseSelect("SELECT name FROM t WHERE name LIKE 'R%'");
+  ASSERT_TRUE(like.ok());
+  EXPECT_FALSE(BoundExpr(*like.value().where, schema).CannotRaise());
 }
 
 TEST(ExprEvalTest, AggregateWithoutEnvIsError) {
   auto stmt = ParseSelect("SELECT name FROM t WHERE COUNT(*) > 3");
   ASSERT_TRUE(stmt.ok());
-  auto v = EvalExpr(*stmt.value().where, TestSchema(), TestRow(), nullptr);
+  auto v = EvalExpr(*stmt.value().where, TestSchema(), TestRow());
   EXPECT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kExecutionError);
 }

@@ -84,7 +84,19 @@ TEST(OperatorsTest, NestedLoopJoinEqualsHashJoinOnEquiJoin) {
   auto hash = HashJoin(Cities(), Countries(), 1, 0);
   ASSERT_TRUE(nl.ok());
   ASSERT_TRUE(hash.ok());
-  EXPECT_TRUE(nl->SameContents(*hash));
+  // Same rows in the same order, not just the same multiset.
+  EXPECT_EQ(nl->schema(), hash->schema());
+  EXPECT_EQ(nl->rows(), hash->rows());
+  EXPECT_EQ(nl->ToCsv(), hash->ToCsv());
+
+  // Swapped, so the duplicate keys (two Italian, two French cities) sit
+  // on the build side: their per-key lists keep ascending row order.
+  auto swapped_pred = ParsePredicate("co.name = ci.country");
+  auto nl_swapped = NestedLoopJoin(Countries(), Cities(), *swapped_pred);
+  auto hash_swapped = HashJoin(Countries(), Cities(), 0, 1);
+  ASSERT_TRUE(nl_swapped.ok());
+  ASSERT_TRUE(hash_swapped.ok());
+  EXPECT_EQ(nl_swapped->rows(), hash_swapped->rows());
 }
 
 TEST(OperatorsTest, NestedLoopJoinThetaPredicate) {
