@@ -17,6 +17,7 @@
 #include "core/galois_executor.h"
 #include "core/materialisation_cache.h"
 #include "core/options.h"
+#include "core/query_counters.h"
 #include "knowledge/workload.h"
 #include "llm/http_llm.h"
 #include "llm/language_model.h"
@@ -39,8 +40,9 @@ class ClusterCoordinator;
 /// state, so results from concurrent sessions never interfere — the
 /// replacement for the old per-executor `last_cost()/last_trace()/
 /// last_table_cache_*` side-channels, which allowed one in-flight query
-/// per executor and no safe sharing.
-struct QueryResult {
+/// per executor and no safe sharing. The materialisation-cache and
+/// prefetch counters are the core::QueryCounters base.
+struct QueryResult : core::QueryCounters {
   Relation relation;
 
   /// Exactly this query's LLM spend (per-backend breakdown included),
@@ -51,28 +53,6 @@ struct QueryResult {
   /// Per-cell provenance; populated only when the session's options set
   /// record_provenance.
   core::ExecutionTrace trace;
-
-  /// Materialisation-cache traffic of this query (0/0 when the Database
-  /// has no cache). Hits split by kind: exact hits matched the cached
-  /// (base key, predicate descriptor) byte-for-byte; subsumption hits
-  /// were served from an entry cached under a weaker filter with the
-  /// residual conjuncts re-checked in memory — still zero LLM round
-  /// trips. `table_cache_store_hits` counts the hits served by entries
-  /// warm-started from the persistent store — tables this process never
-  /// paid an LLM round trip for; prompt-level store hits are in
-  /// cost.store_hits.
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-
-  /// Speculative key-scan paging (ExecutionOptions::prefetch_pages):
-  /// pages whose round trip was in flight before the previous page had
-  /// been consumed, and the subset bought past the terminating page
-  /// (paid for, parked in the prompt cache). Both 0 with prefetch off.
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 
   /// Rendering of the executed physical operator DAG with per-operator
   /// rows / round trips / cost (the shell's `.explain` output).

@@ -219,13 +219,7 @@ Result<QueryResult> ClusterCoordinator::RunLocal(
   result.relation = std::move(out.relation);
   result.cost = std::move(out.cost);
   result.trace = std::move(out.trace);
-  result.table_cache_lookups = out.table_cache_lookups;
-  result.table_cache_hits = out.table_cache_hits;
-  result.table_cache_exact_hits = out.table_cache_exact_hits;
-  result.table_cache_subsumption_hits = out.table_cache_subsumption_hits;
-  result.table_cache_store_hits = out.table_cache_store_hits;
-  result.scan_pages_prefetched = out.scan_pages_prefetched;
-  result.scan_pages_overfetched = out.scan_pages_overfetched;
+  result.counters() = out;
   result.physical_plan = std::move(out.physical_plan);
   return result;
 }
@@ -323,8 +317,7 @@ Result<QueryResult> ClusterCoordinator::Query(
   // overlay the partial relations into a local merge run (which spends
   // zero prompts — every materialisation was billed on the nodes).
   llm::CostMeter cost;
-  int64_t lookups = 0, hits = 0, exact = 0, subsumption = 0, store = 0;
-  int64_t prefetched = 0, overfetched = 0;
+  core::QueryCounters counters;
   std::vector<core::TableOverlay> overlays;
   overlays.reserve(shards.size());
   size_t next = 0;
@@ -334,13 +327,7 @@ Result<QueryResult> ClusterCoordinator::Query(
     for (int64_t s = 0; s < slices_per_shard; ++s) {
       net::PartialQueryResponse& r = responses[next++].value();
       cost += r.cost;
-      lookups += r.table_cache_lookups;
-      hits += r.table_cache_hits;
-      exact += r.table_cache_exact_hits;
-      subsumption += r.table_cache_subsumption_hits;
-      store += r.table_cache_store_hits;
-      prefetched += r.scan_pages_prefetched;
-      overfetched += r.scan_pages_overfetched;
+      counters += r;
       slices.push_back(std::move(r.relation));
     }
     core::TableOverlay overlay;
@@ -353,19 +340,13 @@ Result<QueryResult> ClusterCoordinator::Query(
   GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out,
                           merger.RunSqlWithOverlays(sql, std::move(overlays)));
   cost += out.cost;  // non-LLM residue of the merge run (normally zero)
+  counters += out;
 
   QueryResult result;
   result.relation = std::move(out.relation);
   result.cost = std::move(cost);
   result.trace = std::move(out.trace);
-  result.table_cache_lookups = lookups + out.table_cache_lookups;
-  result.table_cache_hits = hits + out.table_cache_hits;
-  result.table_cache_exact_hits = exact + out.table_cache_exact_hits;
-  result.table_cache_subsumption_hits =
-      subsumption + out.table_cache_subsumption_hits;
-  result.table_cache_store_hits = store + out.table_cache_store_hits;
-  result.scan_pages_prefetched = prefetched + out.scan_pages_prefetched;
-  result.scan_pages_overfetched = overfetched + out.scan_pages_overfetched;
+  result.counters() = counters;
   result.physical_plan = std::move(out.physical_plan);
   return finish(std::move(result));
 }

@@ -68,11 +68,11 @@ class ThreadPool {
 
   /// The process-wide pool for *phase-level* tasks: whole scheduler
   /// flushes dispatched via BatchScheduler::FlushAsync and the per-table
-  /// materialisation tasks of the pipelined Galois executor. Kept
-  /// separate from Shared() because a phase task blocks on round-trip
-  /// futures: the two-tier split guarantees a waiting phase can never
-  /// occupy a worker the round trips underneath it need. Same lifetime
-  /// rules as Shared().
+  /// and per-column materialisation tasks of the pipelined Galois
+  /// executor. Kept separate from Shared() because a phase task blocks on
+  /// round-trip futures: the two-tier split guarantees a waiting phase
+  /// can never occupy a worker the round trips underneath it need. Same
+  /// lifetime rules as Shared().
   static ThreadPool& SharedPhase();
 
   /// Size of the phase pool: bounds how many phases (table tasks, column
@@ -100,27 +100,36 @@ class ThreadPool {
 /// of a cyclic wait.
 ///
 /// A handle is a move-only-in-spirit shared wrapper: copying shares the
-/// underlying task, but Join must be called at most once across all
-/// copies. A handle abandoned without Join is safe — the pool still runs
-/// the task (it owns all captured state by value), the result is simply
-/// dropped.
+/// underlying task, but Join (or Drop) must be called at most once across
+/// all copies. A launched handle abandoned without Join is safe as long as
+/// the task owns all captured state by value — the pool still runs it,
+/// the result is simply dropped. A task that borrows its caller's state
+/// must be Joined or Dropped before that state goes away.
 template <typename T>
 class TaskHandle {
  public:
   TaskHandle() = default;
 
+  /// Returns a handle whose task no worker will ever pick up: it runs
+  /// inline at Join, or never when the handle is Dropped or abandoned.
+  /// Lets one code path serve both concurrent (Launch) and strictly
+  /// sequential execution.
+  static TaskHandle Defer(std::function<T()> fn) {
+    TaskHandle handle;
+    handle.state_ = std::make_shared<State>();
+    handle.state_->run = std::move(fn);
+    handle.state_->result = handle.state_->promise.get_future();
+    return handle;
+  }
+
   /// Launches `fn` on `pool` and returns the joinable handle.
   static TaskHandle Launch(ThreadPool& pool, std::function<T()> fn) {
-    auto state = std::make_shared<State>();
-    state->run = std::move(fn);
-    state->result = state->promise.get_future();
-    pool.Submit([state] {
+    TaskHandle handle = Defer(std::move(fn));
+    pool.Submit([state = handle.state_] {
       if (!state->claimed.exchange(true)) {
         state->promise.set_value(state->run());
       }
     });
-    TaskHandle handle;
-    handle.state_ = std::move(state);
     return handle;
   }
 
@@ -135,6 +144,15 @@ class TaskHandle {
       state->promise.set_value(state->run());
     }
     return state->result.get();
+  }
+
+  /// Gives up on the task: when no worker has claimed it yet it never
+  /// runs; otherwise blocks until the worker finishes and discards the
+  /// result. Either way the task body is not running once Drop returns.
+  /// Resets the handle to invalid.
+  void Drop() {
+    auto state = std::move(state_);
+    if (state->claimed.exchange(true)) state->result.wait();
   }
 
  private:

@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "core/options.h"
 #include "core/provenance.h"
+#include "core/query_counters.h"
 #include "llm/language_model.h"
 #include "sql/ast.h"
 #include "types/relation.h"
@@ -19,12 +20,12 @@ class MaterialisationCache;
 
 /// Everything one query execution produced, as a self-contained value:
 /// the relation plus the query's own cost meter, provenance trace,
-/// physical-plan report and materialisation-cache traffic. Returned by
-/// GaloisExecutor::Run, and the engine-level half of the public
-/// galois::QueryResult. Because the result is a value (not accessors on
-/// the executor), concurrent queries against one executor can never read
-/// each other's measurements.
-struct QueryOutput {
+/// physical-plan report and materialisation-cache traffic (the
+/// QueryCounters base). Returned by GaloisExecutor::Run, and the
+/// engine-level half of the public galois::QueryResult. Because the
+/// result is a value (not accessors on the executor), concurrent queries
+/// against one executor can never read each other's measurements.
+struct QueryOutput : QueryCounters {
   Relation relation;
 
   /// Exactly this query's LLM spend, attributed per round trip through a
@@ -40,29 +41,6 @@ struct QueryOutput {
   /// rows / round trips / cost (PhysicalPlan::Render) — what the shell's
   /// `.explain` shows for the last query.
   std::string physical_plan;
-
-  /// Materialisation-cache traffic of this query: LLM tables looked up,
-  /// and tables served without any LLM round trip. Both 0 when no cache
-  /// is attached. Hits split by kind: `table_cache_exact_hits` matched
-  /// the (base key, predicate descriptor) pair byte-for-byte;
-  /// `table_cache_subsumption_hits` were served from an entry cached
-  /// under a weaker filter, with the residual conjuncts re-applied in
-  /// memory (still zero LLM round trips). `table_cache_store_hits`
-  /// counts the hits served by entries the cache warm-started from the
-  /// persistent store — tables this *process* never paid for.
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-
-  /// Speculative key-scan paging (ExecutionOptions::prefetch_pages):
-  /// pages whose round trip was issued before the previous page's answer
-  /// had been consumed, and the subset bought past the page that
-  /// terminated the scan (paid for, parked in the prompt cache). Both 0
-  /// when prefetch is off.
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 };
 
 /// One LLM base table of a compiled plan, described precisely enough for
@@ -141,18 +119,19 @@ struct ShardRequest {
 ///
 /// With ExecutionOptions::pipeline_phases the DAG executes as a pipeline
 /// instead of a ladder of barriers: independent LLM tables materialise
-/// concurrently, and within one table the needed-column attribute phases
-/// (and their critic-verify follow-ups) are dispatched as async phase
-/// futures. Results, provenance order and cost accounting are identical
-/// to the sequential plan. A MaterialisationCache attached via
-/// set_materialisation_cache adds cross-query reuse on top: a table is
-/// served with zero LLM round trips when its (base key, predicate
-/// descriptor) pair — definition, result-affecting options, model, plus
-/// the canonicalised pushed conjuncts and paging bound — was already
-/// materialised, either exactly, by projection from a wider cached
-/// column set, or by predicate subsumption from an entry cached under a
-/// weaker filter (the residual conjuncts re-applied in memory and
-/// billed as a residual-filter operator in the explain DAG).
+/// concurrently, and within one table the per-column chains (attribute
+/// phase, then its critic-verify follow-up) overlap on the phase pool.
+/// Results, provenance order and cost accounting are identical to the
+/// sequential plan, which runs the same tasks inline. A
+/// MaterialisationCache attached via set_materialisation_cache adds
+/// cross-query reuse on top: a table is served with zero LLM round trips
+/// when its (base key, predicate descriptor) pair — definition,
+/// result-affecting options, model, plus the canonicalised pushed
+/// conjuncts and paging bound — was already materialised, either exactly,
+/// by projection from a wider cached column set, or by predicate
+/// subsumption from an entry cached under a weaker filter (the residual
+/// conjuncts re-applied in memory and billed as a residual-filter
+/// operator in the explain DAG).
 ///
 /// Threading model: the executor is immutable after setup (construction
 /// plus an optional set_materialisation_cache). Run/Execute are const,

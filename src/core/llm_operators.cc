@@ -34,6 +34,8 @@ Result<Value> CleanAttributeCompletion(const std::string& completion,
                                        const catalog::ColumnDef& column,
                                        const ExecutionOptions& options) {
   if (!options.enable_cleaning) {
+    // Ablation: store the raw completion (still mapping "Unknown" to NULL
+    // so the relation stays well-formed).
     if (clean::IsUnknown(completion)) return Value::Null();
     return Value::String(completion);
   }
@@ -43,71 +45,44 @@ Result<Value> CleanAttributeCompletion(const std::string& completion,
                               options.enforce_domains ? &domain : nullptr);
 }
 
-/// The prompt set of one attribute-retrieval phase (shared by the sync
-/// and async dispatch paths, so both issue byte-identical prompts).
-std::vector<llm::Prompt> BuildAttributePrompts(
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column) {
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(keys.size());
-  for (const std::string& key : keys) {
-    llm::AttributeGetIntent intent;
-    intent.concept_name = table.entity_type;
-    intent.key = key;
-    intent.attribute = column.name;
-    intent.attribute_description = column.description;
-    intent.expected_type = column.type;
-    prompts.push_back(llm::BuildAttributePrompt(intent));
-  }
-  return prompts;
+/// The attribute-retrieval prompt for `column` of the entity `key`
+/// (shared by the scalar and batched paths, so both issue byte-identical
+/// prompts).
+llm::Prompt AttributePrompt(const catalog::TableDef& table,
+                            const std::string& key,
+                            const catalog::ColumnDef& column) {
+  llm::AttributeGetIntent intent;
+  intent.concept_name = table.entity_type;
+  intent.key = key;
+  intent.attribute = column.name;
+  intent.attribute_description = column.description;
+  intent.expected_type = column.type;
+  return llm::BuildAttributePrompt(intent);
 }
 
-/// The prompt set of one critic-verification phase.
-std::vector<llm::Prompt> BuildVerifyPrompts(
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed) {
-  std::vector<llm::Prompt> prompts;
-  prompts.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    llm::VerifyIntent intent;
-    intent.concept_name = table.entity_type;
-    intent.key = keys[i];
-    intent.attribute = column.name;
-    intent.attribute_description = column.description;
-    intent.claimed = claimed[i];
-    prompts.push_back(llm::BuildVerifyPrompt(intent));
-  }
-  return prompts;
+/// The critic prompt asking whether `claimed` is `column` of `key`.
+llm::Prompt VerifyPrompt(const catalog::TableDef& table,
+                         const std::string& key,
+                         const catalog::ColumnDef& column,
+                         const Value& claimed) {
+  llm::VerifyIntent intent;
+  intent.concept_name = table.entity_type;
+  intent.key = key;
+  intent.attribute = column.name;
+  intent.attribute_description = column.description;
+  intent.claimed = claimed;
+  return llm::BuildVerifyPrompt(intent);
 }
 
-/// Cleans one attribute phase's completions into typed cells and optional
-/// provenance records (shared post-processing of the sync and async
-/// paths).
-Result<std::vector<Value>> CleanAttributeCompletions(
-    const std::vector<llm::Completion>& completions,
-    const std::vector<std::string>& prompt_texts,
-    const catalog::TableDef& table, const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options,
-    std::vector<CellProvenance>* provenances) {
-  std::vector<Value> values;
-  values.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    GALOIS_ASSIGN_OR_RETURN(
-        Value v,
-        CleanAttributeCompletion(completions[i].text, column, options));
-    if (provenances != nullptr) {
-      CellProvenance p;
-      p.table_alias = table.name;
-      p.key = keys[i];
-      p.column = column.name;
-      p.prompt = prompt_texts[i];
-      p.completion = completions[i].text;
-      p.value = v;
-      provenances->push_back(std::move(p));
-    }
-    values.push_back(std::move(v));
-  }
-  return values;
+/// The selection-check prompt asking whether `filter` holds for `key`.
+llm::Prompt FilterPrompt(const catalog::TableDef& table,
+                         const std::string& key,
+                         const llm::PromptFilter& filter) {
+  llm::FilterCheckIntent intent;
+  intent.concept_name = table.entity_type;
+  intent.key = key;
+  intent.filter = filter;
+  return llm::BuildFilterPrompt(intent);
 }
 
 std::vector<int> ParseVerdicts(
@@ -258,13 +233,7 @@ Result<Value> LlmGetAttribute(llm::LanguageModel* model,
                               const catalog::ColumnDef& column,
                               const ExecutionOptions& options,
                               CellProvenance* provenance) {
-  llm::AttributeGetIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.attribute = column.name;
-  intent.attribute_description = column.description;
-  intent.expected_type = column.type;
-  llm::Prompt prompt = llm::BuildAttributePrompt(intent);
+  llm::Prompt prompt = AttributePrompt(table, key, column);
   GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
                           model->Complete(prompt));
   if (provenance != nullptr) {
@@ -274,21 +243,8 @@ Result<Value> LlmGetAttribute(llm::LanguageModel* model,
     provenance->prompt = prompt.text;
     provenance->completion = completion.text;
   }
-  Value value;
-  if (!options.enable_cleaning) {
-    // Ablation: store the raw completion (still mapping "Unknown" to NULL
-    // so the relation stays well-formed).
-    value = clean::IsUnknown(completion.text)
-                ? Value::Null()
-                : Value::String(completion.text);
-  } else {
-    clean::DomainConstraint domain =
-        clean::DefaultDomainForColumn(column.name);
-    GALOIS_ASSIGN_OR_RETURN(
-        value, clean::NormalizeCell(completion.text, column.type,
-                                    options.enforce_domains ? &domain
-                                                            : nullptr));
-  }
+  GALOIS_ASSIGN_OR_RETURN(
+      Value value, CleanAttributeCompletion(completion.text, column, options));
   if (provenance != nullptr) provenance->value = value;
   return value;
 }
@@ -298,8 +254,13 @@ Result<std::vector<Value>> LlmGetAttributeBatch(
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const ExecutionOptions& options,
     std::vector<CellProvenance>* provenances) {
-  std::vector<llm::Prompt> prompts =
-      BuildAttributePrompts(table, keys, column);
+  std::vector<llm::Prompt> prompts;
+  prompts.reserve(keys.size());
+  for (const std::string& key : keys) {
+    prompts.push_back(AttributePrompt(table, key, column));
+  }
+  // Only provenance reads the prompt texts; don't duplicate one long
+  // string per key on ordinary runs.
   std::vector<std::string> prompt_texts;
   if (provenances != nullptr) {
     prompt_texts.reserve(prompts.size());
@@ -309,45 +270,25 @@ Result<std::vector<Value>> LlmGetAttributeBatch(
                                 "attribute:" + column.name);
   GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
                           scheduler.Run(std::move(prompts)));
-  return CleanAttributeCompletions(completions, prompt_texts, table, keys,
-                                   column, options, provenances);
-}
-
-AttributePhase LlmGetAttributeBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options) {
-  std::vector<llm::Prompt> prompts =
-      BuildAttributePrompts(table, keys, column);
-  AttributePhase phase;
-  phase.table_ = &table;
-  phase.column_ = &column;
-  phase.keys_ = keys;
-  if (options.record_provenance) {
-    // Only provenance reads the prompt texts; don't duplicate one long
-    // string per key on ordinary runs.
-    phase.prompt_texts_.reserve(prompts.size());
-    for (const llm::Prompt& p : prompts) {
-      phase.prompt_texts_.push_back(p.text);
+  std::vector<Value> values;
+  values.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    GALOIS_ASSIGN_OR_RETURN(
+        Value v,
+        CleanAttributeCompletion(completions[i].text, column, options));
+    if (provenances != nullptr) {
+      CellProvenance p;
+      p.table_alias = table.name;
+      p.key = keys[i];
+      p.column = column.name;
+      p.prompt = prompt_texts[i];
+      p.completion = completions[i].text;
+      p.value = v;
+      provenances->push_back(std::move(p));
     }
+    values.push_back(std::move(v));
   }
-  phase.options_ = options;
-  llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                "attribute:" + column.name);
-  phase.handle_ = scheduler.RunAsync(std::move(prompts));
-  return phase;
-}
-
-Result<std::vector<Value>> AttributePhase::Join(
-    std::vector<CellProvenance>* provenances) {
-  GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
-                          handle_.Join());
-  // Prompt texts are only captured when the phase was started with
-  // record_provenance on; without them there is nothing to record.
-  std::vector<CellProvenance>* prov =
-      options_.record_provenance ? provenances : nullptr;
-  return CleanAttributeCompletions(completions, prompt_texts_, *table_,
-                                   keys_, *column_, options_, prov);
+  return values;
 }
 
 Result<std::vector<int>> LlmFilterCheckBatch(
@@ -357,11 +298,7 @@ Result<std::vector<int>> LlmFilterCheckBatch(
   std::vector<llm::Prompt> prompts;
   prompts.reserve(keys.size());
   for (const std::string& key : keys) {
-    llm::FilterCheckIntent intent;
-    intent.concept_name = table.entity_type;
-    intent.key = key;
-    intent.filter = filter;
-    prompts.push_back(llm::BuildFilterPrompt(intent));
+    prompts.push_back(FilterPrompt(table, key, filter));
   }
   llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
                                 "filter-check:" + filter.attribute);
@@ -379,37 +316,15 @@ Result<std::vector<int>> LlmVerifyCellBatch(
     return Status::InvalidArgument(
         "LlmVerifyCellBatch: keys/claimed size mismatch");
   }
-  std::vector<llm::Prompt> prompts =
-      BuildVerifyPrompts(table, keys, column, claimed);
+  std::vector<llm::Prompt> prompts;
+  prompts.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    prompts.push_back(VerifyPrompt(table, keys[i], column, claimed[i]));
+  }
   llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
                                 "verify:" + column.name);
   GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
                           scheduler.Run(std::move(prompts)));
-  return ParseVerdicts(completions);
-}
-
-VerdictPhase LlmVerifyCellBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed,
-    const ExecutionOptions& options) {
-  VerdictPhase phase;
-  if (keys.size() != claimed.size()) {
-    phase.error_ = Status::InvalidArgument(
-        "LlmVerifyCellBatch: keys/claimed size mismatch");
-    return phase;
-  }
-  llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                "verify:" + column.name);
-  phase.handle_ =
-      scheduler.RunAsync(BuildVerifyPrompts(table, keys, column, claimed));
-  return phase;
-}
-
-Result<std::vector<int>> VerdictPhase::Join() {
-  GALOIS_RETURN_IF_ERROR(error_);
-  GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
-                          handle_.Join());
   return ParseVerdicts(completions);
 }
 
@@ -418,15 +333,9 @@ Result<int> LlmVerifyCell(llm::LanguageModel* model,
                           const std::string& key,
                           const catalog::ColumnDef& column,
                           const Value& claimed) {
-  llm::VerifyIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.attribute = column.name;
-  intent.attribute_description = column.description;
-  intent.claimed = claimed;
-  llm::Prompt prompt = llm::BuildVerifyPrompt(intent);
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
+  GALOIS_ASSIGN_OR_RETURN(
+      llm::Completion completion,
+      model->Complete(VerifyPrompt(table, key, column, claimed)));
   return ParseVerdict(completion.text);
 }
 
@@ -434,13 +343,8 @@ Result<int> LlmFilterCheck(llm::LanguageModel* model,
                            const catalog::TableDef& table,
                            const std::string& key,
                            const llm::PromptFilter& filter) {
-  llm::FilterCheckIntent intent;
-  intent.concept_name = table.entity_type;
-  intent.key = key;
-  intent.filter = filter;
-  llm::Prompt prompt = llm::BuildFilterPrompt(intent);
   GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
+                          model->Complete(FilterPrompt(table, key, filter)));
   return ParseVerdict(completion.text);
 }
 

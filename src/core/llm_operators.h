@@ -92,73 +92,6 @@ Result<std::vector<Value>> LlmGetAttributeBatch(
     const catalog::ColumnDef& column, const ExecutionOptions& options,
     std::vector<CellProvenance>* provenances = nullptr);
 
-/// An in-flight attribute-retrieval phase started by
-/// LlmGetAttributeBatchStart. Join blocks for the dispatched prompts and
-/// then cleans the completions into typed cells — the result (values,
-/// provenance records, errors) is identical to what the synchronous
-/// LlmGetAttributeBatch would have returned for the same arguments. Join
-/// must be called at most once. The phase owns copies of everything it
-/// needs except the model, table and column, which must outlive it.
-class AttributePhase {
- public:
-  AttributePhase() = default;
-  bool valid() const { return handle_.valid(); }
-  Result<std::vector<Value>> Join(
-      std::vector<CellProvenance>* provenances = nullptr);
-
- private:
-  friend AttributePhase LlmGetAttributeBatchStart(
-      llm::LanguageModel* model, const catalog::TableDef& table,
-      const std::vector<std::string>& keys,
-      const catalog::ColumnDef& column, const ExecutionOptions& options);
-
-  llm::PhaseHandle handle_;
-  const catalog::TableDef* table_ = nullptr;
-  const catalog::ColumnDef* column_ = nullptr;
-  std::vector<std::string> keys_;
-  std::vector<std::string> prompt_texts_;  // for provenance records
-  ExecutionOptions options_;
-};
-
-/// Async counterpart of LlmGetAttributeBatch: builds the same prompt set
-/// and dispatches it as a phase future (BatchScheduler::FlushAsync), so
-/// several columns retrieve concurrently. Collect the values with
-/// AttributePhase::Join.
-AttributePhase LlmGetAttributeBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const ExecutionOptions& options);
-
-/// An in-flight verdict phase (critic verification) started by
-/// LlmVerifyCellBatchStart; Join returns the same 1/0/-1 verdict vector
-/// as the synchronous LlmVerifyCellBatch. Join at most once.
-class VerdictPhase {
- public:
-  VerdictPhase() = default;
-  bool valid() const { return handle_.valid() || !error_.ok(); }
-  Result<std::vector<int>> Join();
-
- private:
-  friend VerdictPhase LlmVerifyCellBatchStart(
-      llm::LanguageModel* model, const catalog::TableDef& table,
-      const std::vector<std::string>& keys,
-      const catalog::ColumnDef& column,
-      const std::vector<Value>& claimed, const ExecutionOptions& options);
-
-  llm::PhaseHandle handle_;
-  Status error_ = Status::OK();  // argument errors surfaced at Join
-};
-
-/// Async counterpart of LlmVerifyCellBatch: dispatches the critic prompts
-/// as a phase future so a column's verification overlaps other columns'
-/// retrievals. Argument errors (keys/claimed size mismatch) are deferred
-/// to Join, keeping the error surface identical to the sync operator.
-VerdictPhase LlmVerifyCellBatchStart(
-    llm::LanguageModel* model, const catalog::TableDef& table,
-    const std::vector<std::string>& keys,
-    const catalog::ColumnDef& column, const std::vector<Value>& claimed,
-    const ExecutionOptions& options);
-
 /// Filter-check phase over many keys; returns one verdict (1/0/-1) per
 /// key, in order.
 Result<std::vector<int>> LlmFilterCheckBatch(

@@ -77,17 +77,17 @@ struct ExecutionOptions {
   int parallel_batches = 1;
 
   /// Pipeline independent retrieval phases instead of running them as a
-  /// ladder of blocking barriers: the LLM tables of a join materialise
-  /// concurrently, and within one table every needed-column attribute
-  /// phase (plus its critic-verify follow-up) is dispatched as an async
-  /// phase future (BatchScheduler::FlushAsync) instead of column by
-  /// column. Results, provenance order and the CostMeter are identical to
-  /// the sequential ladder — only wall-clock time changes, roughly from
-  /// the *sum* of the phase latencies to the *max* along the longest
-  /// dependency chain. Off by default to mirror the paper prototype's
-  /// strictly sequential plan. Orthogonal to batch_prompts /
-  /// parallel_batches, which act *within* one phase; the combination
-  /// multiplies.
+  /// ladder of blocking barriers. The executor runs one task per LLM
+  /// table of a join and, within a table, one task per needed column
+  /// (its attribute phase, then its critic-verify follow-up). With this
+  /// on, those tasks launch concurrently on ThreadPool::SharedPhase();
+  /// off, they run inline one after another when joined. Results,
+  /// provenance order and the CostMeter are identical either way — only
+  /// wall-clock time changes, roughly from the *sum* of the phase
+  /// latencies to the *max* along the longest dependency chain. Off by
+  /// default to mirror the paper prototype's strictly sequential plan.
+  /// Orthogonal to batch_prompts / parallel_batches, which act *within*
+  /// one phase; the combination multiplies.
   bool pipeline_phases = false;
 
   /// Run the cleaning step (Section 4, workflow step 3): normalise numeric

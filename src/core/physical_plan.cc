@@ -42,10 +42,9 @@ CellSelection SelectNonNullCells(
   return sel;
 }
 
-/// Applies one column's critic verdicts (shared by the sequential and
-/// pipelined retrieval paths, so their rejection/provenance semantics
-/// cannot diverge): rejected cells become NULL — the critic treats them
-/// as hallucinations — and the provenance records, when kept, are tagged.
+/// Applies one column's critic verdicts: rejected cells become NULL — the
+/// critic treats them as hallucinations — and the provenance records,
+/// when kept, are tagged.
 void ApplyVerdicts(const std::vector<int>& verdicts,
                    const CellSelection& cells, std::vector<Value>* values,
                    std::vector<CellProvenance>* provenances) {
@@ -60,6 +59,37 @@ void ApplyVerdicts(const std::vector<int>& verdicts,
       }
     }
   }
+}
+
+/// Wraps one phase task of the materialisation ladder (a table, or a
+/// column's retrieve-then-verify chain). With `concurrent` it launches on
+/// the phase pool at once; otherwise it is deferred and runs inline when
+/// joined — the paper prototype's strictly sequential order.
+template <typename T>
+TaskHandle<T> PhaseTask(bool concurrent, std::function<T()> fn) {
+  return concurrent ? TaskHandle<T>::Launch(ThreadPool::SharedPhase(),
+                                            std::move(fn))
+                    : TaskHandle<T>::Defer(std::move(fn));
+}
+
+/// Joins `tasks` in order and returns their values, or the first error in
+/// that order. After a failure no further prompt is spent on the tasks
+/// behind it: the ones no worker has claimed are dropped without running
+/// (so deferred tasks never run at all), and the ones already running are
+/// waited for, since every task borrows its caller's frame.
+template <typename T>
+Result<std::vector<T>> JoinInOrder(std::vector<TaskHandle<Result<T>>>* tasks) {
+  std::vector<T> values;
+  values.reserve(tasks->size());
+  for (size_t i = 0; i < tasks->size(); ++i) {
+    Result<T> value = (*tasks)[i].Join();
+    if (!value.ok()) {
+      for (size_t j = i + 1; j < tasks->size(); ++j) (*tasks)[j].Drop();
+      return value.status();
+    }
+    values.push_back(std::move(value).value());
+  }
+  return values;
 }
 
 /// Records an LLM operator's outcome on its DAG node: the nested tap's
@@ -438,81 +468,6 @@ Result<Relation> PhysicalPlan::MaterialiseDb(TableGroup& group) {
   return rel;
 }
 
-Result<std::vector<std::vector<Value>>>
-PhysicalPlan::RetrieveColumnsPipelined(
-    const TableGroup& group, llm::LanguageModel* attr_model,
-    llm::LanguageModel* verify_model,
-    const std::vector<std::string>& surviving, ExecutionTrace* trace) {
-  const catalog::TableDef& def = *group.def;
-  const size_t n = group.needed_columns.size();
-  const bool prov = options_.record_provenance;
-
-  // Dispatch every column's attribute phase up front; they all run
-  // concurrently on the phase pool.
-  std::vector<AttributePhase> attr_phases(n);
-  for (size_t i = 0; i < n; ++i) {
-    attr_phases[i] = LlmGetAttributeBatchStart(
-        attr_model, def, surviving, *group.needed_columns[i], options_);
-  }
-
-  // Join columns in order; each column's critic-verify follow-up is
-  // dispatched as soon as its values are in, overlapping later columns'
-  // retrievals. The error reported is the one with the lowest rank in
-  // the sequential op order (attr_0, verify_0, attr_1, ...), so the
-  // pipelined and sequential paths fail identically — though, as with
-  // concurrent chunk dispatch, phases already in flight when an error
-  // surfaces still complete and bill. On error, this table's per-cell
-  // provenance is dropped rather than partially recorded.
-  std::vector<std::vector<Value>> columns(n);
-  std::vector<std::vector<CellProvenance>> provenances(n);
-  std::vector<VerdictPhase> verify_phases(n);
-  std::vector<CellSelection> cells(n);
-  Status first_error = Status::OK();
-  size_t first_error_rank = 2 * n;  // past every op
-  for (size_t i = 0; i < n; ++i) {
-    Result<std::vector<Value>> values =
-        attr_phases[i].Join(prov ? &provenances[i] : nullptr);
-    if (!values.ok()) {
-      if (2 * i < first_error_rank) {
-        first_error = values.status();
-        first_error_rank = 2 * i;
-      }
-      continue;
-    }
-    columns[i] = std::move(values).value();
-    if (!options_.verify_cells || !first_error.ok()) continue;
-    cells[i] = SelectNonNullCells(columns[i], surviving);
-    if (!cells[i].idx.empty()) {
-      verify_phases[i] = LlmVerifyCellBatchStart(
-          verify_model, def, cells[i].keys, *group.needed_columns[i],
-          cells[i].values, options_);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!verify_phases[i].valid()) continue;
-    Result<std::vector<int>> verdicts = verify_phases[i].Join();
-    if (!verdicts.ok()) {
-      if (2 * i + 1 < first_error_rank) {
-        first_error = verdicts.status();
-        first_error_rank = 2 * i + 1;
-      }
-      continue;
-    }
-    ApplyVerdicts(*verdicts, cells[i], &columns[i],
-                  prov ? &provenances[i] : nullptr);
-  }
-  GALOIS_RETURN_IF_ERROR(first_error);
-  if (prov) {
-    for (size_t i = 0; i < n; ++i) {
-      for (CellProvenance& p : provenances[i]) {
-        p.table_alias = group.alias;
-        trace->cells.push_back(std::move(p));
-      }
-    }
-  }
-  return columns;
-}
-
 Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
                                               llm::LanguageModel* model,
                                               ExecutionTrace* trace) {
@@ -612,61 +567,62 @@ Result<Relation> PhysicalPlan::MaterialiseLlm(TableGroup& group,
     trace->scans.push_back(std::move(scan));
   }
 
-  // 3. Attribute completion: one scheduler phase per needed column
-  // retrieves the whole column, optionally followed by a critic
-  // verification phase over its non-NULL cells (Section 6 extensions).
-  // With pipeline_phases the per-column phase chains run concurrently;
-  // the sequential ladder below is the paper prototype's order. Either
-  // way, retrieval bills through one per-operator tap and verification
-  // through another, so the DAG attributes their spend separately.
-  Relation rel(GroupSchema(group));
+  // 3. Attribute completion: one chain per needed column — a scheduler
+  // phase retrieving the whole column, then (verify_cells) a critic phase
+  // over its non-NULL cells (Section 6 extensions). The chains are
+  // independent: under pipeline_phases they overlap on the phase pool,
+  // otherwise they run inline in the paper prototype's order (attr_0,
+  // verify_0, attr_1, ...). Retrieval bills through one per-operator tap
+  // and verification through another, so the DAG attributes their spend
+  // separately.
   llm::CostTap retrieve_tap(model);
   llm::CostTap cell_verify_tap(model);
-  std::vector<std::vector<Value>> columns;
-  if (options_.pipeline_phases && group.needed_columns.size() > 1) {
-    GALOIS_ASSIGN_OR_RETURN(
-        columns, RetrieveColumnsPipelined(group, &retrieve_tap,
-                                          &cell_verify_tap, surviving,
-                                          trace));
-  } else {
-    columns.reserve(group.needed_columns.size());
-    for (const catalog::ColumnDef* col : group.needed_columns) {
-      std::vector<CellProvenance> provenances;
-      std::vector<CellProvenance>* prov_ptr =
-          options_.record_provenance ? &provenances : nullptr;
-      GALOIS_ASSIGN_OR_RETURN(
-          std::vector<Value> values,
-          LlmGetAttributeBatch(&retrieve_tap, def, surviving, *col,
-                               options_, prov_ptr));
-      if (options_.verify_cells) {
-        // Verify the column's non-NULL cells in one phase.
-        CellSelection cells = SelectNonNullCells(values, surviving);
-        if (!cells.idx.empty()) {
+  struct Column {
+    std::vector<Value> values;
+    std::vector<CellProvenance> provenances;
+  };
+  const bool concurrent =
+      options_.pipeline_phases && group.needed_columns.size() > 1;
+  std::vector<TaskHandle<Result<Column>>> chains;
+  chains.reserve(group.needed_columns.size());
+  for (const catalog::ColumnDef* col : group.needed_columns) {
+    chains.push_back(PhaseTask<Result<Column>>(
+        concurrent, [&, col]() -> Result<Column> {
+          Column column;
+          std::vector<CellProvenance>* prov =
+              options_.record_provenance ? &column.provenances : nullptr;
+          GALOIS_ASSIGN_OR_RETURN(
+              column.values, LlmGetAttributeBatch(&retrieve_tap, def,
+                                                  surviving, *col, options_,
+                                                  prov));
+          if (!options_.verify_cells) return column;
+          CellSelection cells = SelectNonNullCells(column.values, surviving);
+          if (cells.idx.empty()) return column;
           GALOIS_ASSIGN_OR_RETURN(
               std::vector<int> verdicts,
               LlmVerifyCellBatch(&cell_verify_tap, def, cells.keys, *col,
                                  cells.values, options_));
-          ApplyVerdicts(verdicts, cells, &values, prov_ptr);
-        }
-      }
-      if (prov_ptr != nullptr) {
-        for (CellProvenance& p : provenances) {
-          p.table_alias = group.alias;
-          trace->cells.push_back(std::move(p));
-        }
-      }
-      columns.push_back(std::move(values));
-    }
+          ApplyVerdicts(verdicts, cells, &column.values, prov);
+          return column;
+        }));
   }
+  GALOIS_ASSIGN_OR_RETURN(std::vector<Column> columns, JoinInOrder(&chains));
   FinishLlmOp(group.retrieve_node, retrieve_tap, surviving.size());
   FinishLlmOp(group.cell_verify_node, cell_verify_tap, surviving.size());
+  for (Column& column : columns) {
+    for (CellProvenance& p : column.provenances) {
+      p.table_alias = group.alias;
+      trace->cells.push_back(std::move(p));
+    }
+  }
+  Relation rel(GroupSchema(group));
   for (size_t r = 0; r < surviving.size(); ++r) {
     Tuple row;
     row.reserve(1 + columns.size());
     row.push_back(Value::String(surviving[r]));
     // Move the cells out of the column vectors: each value is consumed
     // exactly once, and completions can be long strings.
-    for (auto& column : columns) row.push_back(std::move(column[r]));
+    for (Column& column : columns) row.push_back(std::move(column.values[r]));
     rel.AddRowUnchecked(std::move(row));
   }
   return rel;
@@ -698,6 +654,23 @@ void PhysicalPlan::InsertResidualNode(TableGroup& group,
   group.top = node;
   node->stats.executed = true;
   node->stats.rows = info.rows_after_residual;
+}
+
+std::optional<Relation> PhysicalPlan::LookupCache(
+    const TableGroup& group, MaterialisationCache* cache,
+    const std::string& base_key, QueryCounters* counters,
+    MaterialisationLookupInfo* info) const {
+  ++counters->table_cache_lookups;
+  std::optional<Relation> hit =
+      cache->Lookup(base_key, group.descriptor, *group.def,
+                    group.needed_columns, group.alias, info);
+  if (hit.has_value()) {
+    ++counters->table_cache_hits;
+    if (info->exact) ++counters->table_cache_exact_hits;
+    if (info->predicate_subsumed) ++counters->table_cache_subsumption_hits;
+    if (info->from_store) ++counters->table_cache_store_hits;
+  }
+  return hit;
 }
 
 Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
@@ -749,16 +722,10 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     if (use_cache) {
       base_keys[i] =
           MaterialisationCache::BaseKey(*group.def, options_, model->name());
-      ++out->table_cache_lookups;
       MaterialisationLookupInfo info;
       std::optional<Relation> hit =
-          cache->Lookup(base_keys[i], group.descriptor, *group.def,
-                        group.needed_columns, group.alias, &info);
+          LookupCache(group, cache, base_keys[i], out, &info);
       if (hit.has_value()) {
-        ++out->table_cache_hits;
-        if (info.exact) ++out->table_cache_exact_hits;
-        if (info.predicate_subsumed) ++out->table_cache_subsumption_hits;
-        if (info.from_store) ++out->table_cache_store_hits;
         // The cached phases produced the entry's rows; on a subsumption
         // hit the residual filter then narrows them, and shows up as
         // its own operator above the group.
@@ -784,62 +751,41 @@ Result<std::vector<Relation>> PhysicalPlan::MaterialiseAll(
     pending.push_back(i);
   }
 
-  if (options_.pipeline_phases && pending.size() > 1) {
-    // Independent tables materialise concurrently, one task per table on
-    // the phase pool. Each task records provenance into its own trace;
-    // the traces merge in FROM order afterwards, so the combined trace is
-    // identical to the sequential path's. On error every task is still
-    // joined (abandoning one would leave prompts in flight) and the
-    // error of the first table in FROM order is reported —
-    // deterministically the one the sequential path reports. Tasks touch
-    // disjoint table groups (and the thread-safe query tap), so the
-    // per-operator stats need no locking.
-    std::vector<ExecutionTrace> traces(pending.size());
-    std::vector<TaskHandle<Result<Relation>>> tasks;
-    tasks.reserve(pending.size());
-    for (size_t t = 0; t < pending.size(); ++t) {
-      TableGroup* group = &groups_[pending[t]];
-      ExecutionTrace* trace = &traces[t];
-      tasks.push_back(TaskHandle<Result<Relation>>::Launch(
-          ThreadPool::SharedPhase(), [this, model, group, trace] {
-            return MaterialiseLlm(*group, model, trace);
-          }));
-    }
-    Status first_error = Status::OK();
-    for (size_t t = 0; t < pending.size(); ++t) {
-      Result<Relation> rel = tasks[t].Join();
-      if (!rel.ok()) {
-        if (first_error.ok()) first_error = rel.status();
-        continue;
-      }
-      materialised[pending[t]] = std::move(rel).value();
-    }
-    GALOIS_RETURN_IF_ERROR(first_error);
-    for (ExecutionTrace& trace : traces) {
-      for (ScanProvenance& s : trace.scans) {
-        out->trace.scans.push_back(std::move(s));
-      }
-      for (CellProvenance& c : trace.cells) {
-        out->trace.cells.push_back(std::move(c));
-      }
-    }
-  } else {
-    for (size_t i : pending) {
-      GALOIS_ASSIGN_OR_RETURN(
-          Relation rel, MaterialiseLlm(groups_[i], model, &out->trace));
-      materialised[i] = std::move(rel);
-    }
+  // One task per remaining LLM table, joined in FROM order: concurrent
+  // on the phase pool under pipeline_phases, inline table by table
+  // otherwise; the first error in FROM order wins and no later table is
+  // billed after it. Each task records provenance into its own trace and
+  // the traces merge in FROM order, so the combined trace does not depend
+  // on the dispatch mode. Tasks touch disjoint table groups (and the
+  // thread-safe query tap), so the per-operator stats need no locking.
+  const bool concurrent = options_.pipeline_phases && pending.size() > 1;
+  std::vector<ExecutionTrace> traces(pending.size());
+  std::vector<TaskHandle<Result<Relation>>> tasks;
+  tasks.reserve(pending.size());
+  for (size_t t = 0; t < pending.size(); ++t) {
+    TableGroup* group = &groups_[pending[t]];
+    ExecutionTrace* trace = &traces[t];
+    tasks.push_back(PhaseTask<Result<Relation>>(
+        concurrent, [this, model, group, trace] {
+          return MaterialiseLlm(*group, model, trace);
+        }));
   }
-
-  for (size_t i : pending) {
+  GALOIS_ASSIGN_OR_RETURN(std::vector<Relation> fresh, JoinInOrder(&tasks));
+  for (size_t t = 0; t < pending.size(); ++t) {
+    const size_t i = pending[t];
+    for (ScanProvenance& s : traces[t].scans) {
+      out->trace.scans.push_back(std::move(s));
+    }
+    for (CellProvenance& c : traces[t].cells) {
+      out->trace.cells.push_back(std::move(c));
+    }
     out->scan_pages_prefetched += groups_[i].scan_stats.prefetched;
     out->scan_pages_overfetched += groups_[i].scan_stats.overfetched;
-  }
-  if (use_cache) {
-    for (size_t i : pending) {
+    if (use_cache) {
       cache->Insert(base_keys[i], groups_[i].descriptor,
-                    groups_[i].needed_columns, *materialised[i]);
+                    groups_[i].needed_columns, fresh[t]);
     }
+    materialised[i] = std::move(fresh[t]);
   }
 
   std::vector<Relation> rels;
@@ -985,16 +931,10 @@ Result<QueryOutput> PhysicalPlan::ExecuteShard(const ShardRequest& request,
   if (use_cache) {
     base_key =
         MaterialisationCache::BaseKey(*group->def, options_, model->name());
-    ++out.table_cache_lookups;
     MaterialisationLookupInfo info;
     std::optional<Relation> hit =
-        cache->Lookup(base_key, group->descriptor, *group->def,
-                      group->needed_columns, group->alias, &info);
+        LookupCache(*group, cache, base_key, &out, &info);
     if (hit.has_value()) {
-      ++out.table_cache_hits;
-      if (info.exact) ++out.table_cache_exact_hits;
-      if (info.predicate_subsumed) ++out.table_cache_subsumption_hits;
-      if (info.from_store) ++out.table_cache_store_hits;
       out.relation = std::move(*hit);
       return out;
     }

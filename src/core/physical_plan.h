@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -186,10 +187,14 @@ class PhysicalPlan {
   Result<Relation> MaterialiseLlm(TableGroup& group,
                                   llm::LanguageModel* model,
                                   ExecutionTrace* trace);
-  Result<std::vector<std::vector<Value>>> RetrieveColumnsPipelined(
-      const TableGroup& group, llm::LanguageModel* attr_model,
-      llm::LanguageModel* verify_model,
-      const std::vector<std::string>& surviving, ExecutionTrace* trace);
+  /// One materialisation-cache lookup for `group` under `base_key`,
+  /// counted into `counters` (the lookup, and a hit by kind). Returns the
+  /// cached relation on a hit, with `info` describing it.
+  std::optional<Relation> LookupCache(const TableGroup& group,
+                                      MaterialisationCache* cache,
+                                      const std::string& base_key,
+                                      QueryCounters* counters,
+                                      MaterialisationLookupInfo* info) const;
   Result<std::vector<Relation>> MaterialiseAll(llm::LanguageModel* model,
                                                MaterialisationCache* cache,
                                                QueryOutput* out);

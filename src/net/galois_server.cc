@@ -185,13 +185,7 @@ void GaloisServer::ServeQuery(int fd, const std::string& payload) {
       ++queries_ok_;
       total_wall_ms_ += qr.wall_ms;
       max_wall_ms_ = std::max(max_wall_ms_, qr.wall_ms);
-      table_cache_lookups_ += qr.table_cache_lookups;
-      table_cache_hits_ += qr.table_cache_hits;
-      table_cache_exact_hits_ += qr.table_cache_exact_hits;
-      table_cache_subsumption_hits_ += qr.table_cache_subsumption_hits;
-      table_cache_store_hits_ += qr.table_cache_store_hits;
-      scan_pages_prefetched_ += qr.scan_pages_prefetched;
-      scan_pages_overfetched_ += qr.scan_pages_overfetched;
+      counters_ += qr;
     }
     write_status = WriteFrame(fd, FrameType::kQueryResult,
                               QueryResultToJson(qr).Dump(),
@@ -286,24 +280,11 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   response.slice_count = shard.slice_count;
   response.relation = std::move(out.value().relation);
   response.cost = out.value().cost;
-  response.table_cache_lookups = out.value().table_cache_lookups;
-  response.table_cache_hits = out.value().table_cache_hits;
-  response.table_cache_exact_hits = out.value().table_cache_exact_hits;
-  response.table_cache_subsumption_hits =
-      out.value().table_cache_subsumption_hits;
-  response.table_cache_store_hits = out.value().table_cache_store_hits;
-  response.scan_pages_prefetched = out.value().scan_pages_prefetched;
-  response.scan_pages_overfetched = out.value().scan_pages_overfetched;
+  response.counters() = out.value();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++partials_ok_;
-    table_cache_lookups_ += response.table_cache_lookups;
-    table_cache_hits_ += response.table_cache_hits;
-    table_cache_exact_hits_ += response.table_cache_exact_hits;
-    table_cache_subsumption_hits_ += response.table_cache_subsumption_hits;
-    table_cache_store_hits_ += response.table_cache_store_hits;
-    scan_pages_prefetched_ += response.scan_pages_prefetched;
-    scan_pages_overfetched_ += response.scan_pages_overfetched;
+    counters_ += response;
   }
   Status write_status =
       WriteFrame(fd, FrameType::kPartialResult,
@@ -418,10 +399,8 @@ ServerStats GaloisServer::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     s.uptime_ms = started_ms_ > 0 ? NowMs() - started_ms_ : 0;
-    s.uptime_s = s.uptime_ms / 1000;
     s.connections_accepted = connections_accepted_;
     s.connections_active = connections_active_;
-    s.active_connections = connections_active_;
     s.queries_started = queries_started_;
     s.queries_ok = queries_ok_;
     s.queries_error = queries_error_;
@@ -432,13 +411,7 @@ ServerStats GaloisServer::stats() const {
     s.partials_error = partials_error_;
     s.total_wall_ms = total_wall_ms_;
     s.max_wall_ms = max_wall_ms_;
-    s.table_cache_lookups = table_cache_lookups_;
-    s.table_cache_hits = table_cache_hits_;
-    s.table_cache_exact_hits = table_cache_exact_hits_;
-    s.table_cache_subsumption_hits = table_cache_subsumption_hits_;
-    s.table_cache_store_hits = table_cache_store_hits_;
-    s.scan_pages_prefetched = scan_pages_prefetched_;
-    s.scan_pages_overfetched = scan_pages_overfetched_;
+    s.counters() = counters_;
   }
   s.draining = draining_.load();
   {

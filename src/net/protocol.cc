@@ -39,6 +39,20 @@ llm::ModelUsage ModelUsageFromJson(const Json& j) {
   return usage;
 }
 
+// The QueryCounters block of a payload: one key per counter, named and
+// ordered by QueryCounters::kFields.
+void CountersToJson(const core::QueryCounters& counters, Json* j) {
+  for (const core::QueryCounters::Field& f : core::QueryCounters::kFields) {
+    j->Set(f.name, Json::Number(counters.*f.member));
+  }
+}
+
+void CountersFromJson(const Json& j, core::QueryCounters* counters) {
+  for (const core::QueryCounters::Field& f : core::QueryCounters::kFields) {
+    counters->*f.member = j.GetInt(f.name);
+  }
+}
+
 // Hex codec for descriptor bytes: PredicateDescriptor::Encode() output
 // is length-prefixed binary and may embed any byte value, so it cannot
 // ride in a JSON string as-is.
@@ -200,16 +214,7 @@ Json QueryResultToJson(const QueryResult& result) {
   Json j = Json::Object();
   j.Set("relation", RelationToJson(result.relation));
   j.Set("cost", CostMeterToJson(result.cost));
-  j.Set("table_cache_lookups", Json::Number(result.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(result.table_cache_hits));
-  j.Set("table_cache_exact_hits", Json::Number(result.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(result.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(result.table_cache_store_hits));
-  j.Set("scan_pages_prefetched", Json::Number(result.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(result.scan_pages_overfetched));
+  CountersToJson(result, &j);
   j.Set("wall_ms", Json::Number(result.wall_ms));
   if (!result.physical_plan.empty()) {
     j.Set("physical_plan", Json::String(result.physical_plan));
@@ -224,14 +229,7 @@ Result<QueryResult> QueryResultFromJson(const Json& j) {
   QueryResult result;
   GALOIS_ASSIGN_OR_RETURN(result.relation, RelationFromJson(j["relation"]));
   GALOIS_ASSIGN_OR_RETURN(result.cost, CostMeterFromJson(j["cost"]));
-  result.table_cache_lookups = j.GetInt("table_cache_lookups");
-  result.table_cache_hits = j.GetInt("table_cache_hits");
-  result.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  result.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  result.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  result.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  result.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  CountersFromJson(j, &result);
   result.wall_ms = j.GetNumber("wall_ms");
   result.physical_plan = j.GetString("physical_plan");
   return result;
@@ -298,18 +296,7 @@ Json PartialQueryResponseToJson(const PartialQueryResponse& response) {
   j.Set("slice_count", Json::Number(response.slice_count));
   j.Set("relation", RelationToJson(response.relation));
   j.Set("cost", CostMeterToJson(response.cost));
-  j.Set("table_cache_lookups", Json::Number(response.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(response.table_cache_hits));
-  j.Set("table_cache_exact_hits",
-        Json::Number(response.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(response.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(response.table_cache_store_hits));
-  j.Set("scan_pages_prefetched",
-        Json::Number(response.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(response.scan_pages_overfetched));
+  CountersToJson(response, &j);
   return j;
 }
 
@@ -329,14 +316,7 @@ Result<PartialQueryResponse> PartialQueryResponseFromJson(const Json& j) {
   GALOIS_ASSIGN_OR_RETURN(response.relation,
                           RelationFromJson(j["relation"]));
   GALOIS_ASSIGN_OR_RETURN(response.cost, CostMeterFromJson(j["cost"]));
-  response.table_cache_lookups = j.GetInt("table_cache_lookups");
-  response.table_cache_hits = j.GetInt("table_cache_hits");
-  response.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  response.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  response.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  response.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  response.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  CountersFromJson(j, &response);
   return response;
 }
 
@@ -369,11 +349,9 @@ Status StatusFromJson(const Json& j) {
 Json ServerStatsToJson(const ServerStats& stats) {
   Json j = Json::Object();
   j.Set("uptime_ms", Json::Number(stats.uptime_ms));
-  j.Set("uptime_s", Json::Number(stats.uptime_s));
   j.Set("draining", Json::Bool(stats.draining));
   j.Set("connections_accepted", Json::Number(stats.connections_accepted));
   j.Set("connections_active", Json::Number(stats.connections_active));
-  j.Set("active_connections", Json::Number(stats.active_connections));
   j.Set("queries_started", Json::Number(stats.queries_started));
   j.Set("queries_ok", Json::Number(stats.queries_ok));
   j.Set("queries_error", Json::Number(stats.queries_error));
@@ -387,17 +365,7 @@ Json ServerStatsToJson(const ServerStats& stats) {
   j.Set("total_wall_ms", Json::Number(stats.total_wall_ms));
   j.Set("max_wall_ms", Json::Number(stats.max_wall_ms));
   j.Set("queries_per_sec", Json::Number(stats.queries_per_sec));
-  j.Set("table_cache_lookups", Json::Number(stats.table_cache_lookups));
-  j.Set("table_cache_hits", Json::Number(stats.table_cache_hits));
-  j.Set("table_cache_exact_hits",
-        Json::Number(stats.table_cache_exact_hits));
-  j.Set("table_cache_subsumption_hits",
-        Json::Number(stats.table_cache_subsumption_hits));
-  j.Set("table_cache_store_hits",
-        Json::Number(stats.table_cache_store_hits));
-  j.Set("scan_pages_prefetched", Json::Number(stats.scan_pages_prefetched));
-  j.Set("scan_pages_overfetched",
-        Json::Number(stats.scan_pages_overfetched));
+  CountersToJson(stats, &j);
   j.Set("spend", CostMeterToJson(stats.spend));
   j.Set("store_attached", Json::Bool(stats.store_attached));
   j.Set("store_file_bytes", Json::Number(stats.store_file_bytes));
@@ -413,11 +381,9 @@ Result<ServerStats> ServerStatsFromJson(const Json& j) {
   }
   ServerStats stats;
   stats.uptime_ms = j.GetInt("uptime_ms");
-  stats.uptime_s = j.GetInt("uptime_s");
   stats.draining = j.GetBool("draining");
   stats.connections_accepted = j.GetInt("connections_accepted");
   stats.connections_active = j.GetInt("connections_active");
-  stats.active_connections = j.GetInt("active_connections");
   stats.queries_started = j.GetInt("queries_started");
   stats.queries_ok = j.GetInt("queries_ok");
   stats.queries_error = j.GetInt("queries_error");
@@ -431,14 +397,7 @@ Result<ServerStats> ServerStatsFromJson(const Json& j) {
   stats.total_wall_ms = j.GetNumber("total_wall_ms");
   stats.max_wall_ms = j.GetNumber("max_wall_ms");
   stats.queries_per_sec = j.GetNumber("queries_per_sec");
-  stats.table_cache_lookups = j.GetInt("table_cache_lookups");
-  stats.table_cache_hits = j.GetInt("table_cache_hits");
-  stats.table_cache_exact_hits = j.GetInt("table_cache_exact_hits");
-  stats.table_cache_subsumption_hits =
-      j.GetInt("table_cache_subsumption_hits");
-  stats.table_cache_store_hits = j.GetInt("table_cache_store_hits");
-  stats.scan_pages_prefetched = j.GetInt("scan_pages_prefetched");
-  stats.scan_pages_overfetched = j.GetInt("scan_pages_overfetched");
+  CountersFromJson(j, &stats);
   GALOIS_ASSIGN_OR_RETURN(stats.spend, CostMeterFromJson(j["spend"]));
   stats.store_attached = j.GetBool("store_attached");
   stats.store_file_bytes = j.GetInt("store_file_bytes");
@@ -460,11 +419,9 @@ std::string ServerStats::ToString() const {
     out += buf;
   };
   line("uptime_ms", uptime_ms);
-  line("uptime_s", uptime_s);
   line("draining", draining ? 1 : 0);
   line("connections_accepted", connections_accepted);
   line("connections_active", connections_active);
-  line("active_connections", active_connections);
   line("queries_started", queries_started);
   line("queries_ok", queries_ok);
   line("queries_error", queries_error);
@@ -478,13 +435,9 @@ std::string ServerStats::ToString() const {
   dline("queries_per_sec", queries_per_sec);
   dline("total_wall_ms", total_wall_ms);
   dline("max_wall_ms", max_wall_ms);
-  line("table_cache_lookups", table_cache_lookups);
-  line("table_cache_hits", table_cache_hits);
-  line("table_cache_exact_hits", table_cache_exact_hits);
-  line("table_cache_subsumption_hits", table_cache_subsumption_hits);
-  line("table_cache_store_hits", table_cache_store_hits);
-  line("scan_pages_prefetched", scan_pages_prefetched);
-  line("scan_pages_overfetched", scan_pages_overfetched);
+  for (const core::QueryCounters::Field& f : kFields) {
+    line(f.name, this->*f.member);
+  }
   line("llm_prompts", spend.num_prompts);
   line("llm_batches", spend.num_batches);
   line("llm_prompt_tokens", spend.prompt_tokens);

@@ -8,6 +8,7 @@
 #include "api/database.h"
 #include "common/json.h"
 #include "common/result.h"
+#include "core/query_counters.h"
 #include "llm/language_model.h"
 #include "types/relation.h"
 
@@ -90,9 +91,10 @@ Result<PartialQueryRequest> PartialQueryRequestFromJson(const Json& j);
 
 /// A node's answer to a partial query (FrameType::kPartialResult): the
 /// shard's materialised relation (alias-qualified key + needed columns)
-/// plus the per-shard CostMeter slice and cache/prefetch counters the
-/// coordinator aggregates into the merged QueryResult.
-struct PartialQueryResponse {
+/// plus the per-shard CostMeter slice and cache/prefetch counters (the
+/// QueryCounters base) the coordinator aggregates into the merged
+/// QueryResult.
+struct PartialQueryResponse : core::QueryCounters {
   std::string table;
   std::string alias;
   int64_t slice_index = 0;
@@ -101,13 +103,6 @@ struct PartialQueryResponse {
   /// Exactly this shard's spend (per-query CostTap, by-model slices
   /// included) — summing the shards' meters reproduces the facade's.
   llm::CostMeter cost;
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 };
 
 Json PartialQueryResponseToJson(const PartialQueryResponse& response);
@@ -125,22 +120,14 @@ Status StatusFromJson(const Json& j);
 
 /// Live daemon statistics (FrameType::kStatsResult) — the ctdb-style
 /// counter block. Spend is the whole model stack's meter (per-backend
-/// slices included); the cache/prefetch counters are accumulated over
-/// every completed query's QueryResult.
-struct ServerStats {
+/// slices included); the cache/prefetch counters (the QueryCounters
+/// base) are accumulated over every completed query and shard.
+struct ServerStats : core::QueryCounters {
   int64_t uptime_ms = 0;
-  /// Whole seconds of uptime_ms — the scrape-friendly rendering cluster
-  /// health checks grep for ("a node with uptime_s below the burst
-  /// window just restarted").
-  int64_t uptime_s = 0;
   bool draining = false;
 
   int64_t connections_accepted = 0;
   int64_t connections_active = 0;
-  /// Alias of connections_active under the conventional scrape name, so
-  /// cluster tooling reading `active_connections` keys off one spelling
-  /// across daemon versions.
-  int64_t active_connections = 0;
 
   int64_t queries_started = 0;
   int64_t queries_ok = 0;
@@ -164,14 +151,6 @@ struct ServerStats {
   double max_wall_ms = 0.0;
   /// queries_ok per second of uptime.
   double queries_per_sec = 0.0;
-
-  int64_t table_cache_lookups = 0;
-  int64_t table_cache_hits = 0;
-  int64_t table_cache_exact_hits = 0;
-  int64_t table_cache_subsumption_hits = 0;
-  int64_t table_cache_store_hits = 0;
-  int64_t scan_pages_prefetched = 0;
-  int64_t scan_pages_overfetched = 0;
 
   /// Stack-wide spend since the Database opened.
   llm::CostMeter spend;

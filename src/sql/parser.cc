@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -9,7 +10,11 @@ namespace galois::sql {
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser over the token stream. Every Parse* function
+/// that returns an expression leaves its tree depth in depth_, so each
+/// node's depth is known the moment it is built and an over-deep tree is
+/// rejected before it grows further (and before anything has to walk or
+/// destroy it recursively).
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -66,6 +71,31 @@ class Parser {
                                    ? "<eof>"
                                    : Current().text) +
                               "' at offset " +
+                              std::to_string(Current().position));
+  }
+
+  /// Opens one level of syntactic nesting (a recursive descent into a
+  /// sub-expression); fails past kMaxExprDepth so the parser's own
+  /// recursion stays bounded. Callers close the level with `--nesting_`
+  /// on success; an error abandons the whole parse, so it needs no
+  /// unwinding.
+  Status Enter() {
+    if (++nesting_ > kMaxExprDepth) return TooDeep();
+    return Status::OK();
+  }
+
+  /// Records that the node about to be built sits directly above children
+  /// whose deepest is `child_depth`.
+  Status Deepen(int child_depth) {
+    depth_ = child_depth + 1;
+    if (depth_ > kMaxExprDepth) return TooDeep();
+    return Status::OK();
+  }
+
+  Status TooDeep() const {
+    return Status::ParseError("expression nested deeper than " +
+                              std::to_string(kMaxExprDepth) +
+                              " levels at offset " +
                               std::to_string(Current().position));
   }
 
@@ -190,12 +220,19 @@ class Parser {
   }
 
   // Expression grammar, lowest precedence first.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  Result<ExprPtr> ParseExpr() {
+    GALOIS_RETURN_IF_ERROR(Enter());
+    GALOIS_ASSIGN_OR_RETURN(ExprPtr e, ParseOr());
+    --nesting_;
+    return e;
+  }
 
   Result<ExprPtr> ParseOr() {
     GALOIS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (AcceptKeyword("OR")) {
+      const int lhs_depth = depth_;
       GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
       lhs = Expr::MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -204,7 +241,9 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     GALOIS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (AcceptKeyword("AND")) {
+      const int lhs_depth = depth_;
       GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
       lhs = Expr::MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -212,7 +251,10 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("NOT")) {
+      GALOIS_RETURN_IF_ERROR(Enter());
       GALOIS_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      --nesting_;
+      GALOIS_RETURN_IF_ERROR(Deepen(depth_));
       return Expr::MakeUnary(UnaryOp::kNot, std::move(operand));
     }
     return ParseComparison();
@@ -220,11 +262,13 @@ class Parser {
 
   Result<ExprPtr> ParseComparison() {
     GALOIS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
+    const int lhs_depth = depth_;
     // IS [NOT] NULL
     if (Current().IsKeyword("IS")) {
       Advance();
       bool negated = AcceptKeyword("NOT");
       GALOIS_RETURN_IF_ERROR(ExpectKeyword("NULL"));
+      GALOIS_RETURN_IF_ERROR(Deepen(lhs_depth));
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kIsNull;
       e->negated = negated;
@@ -241,15 +285,20 @@ class Parser {
     }
     if (AcceptKeyword("BETWEEN")) {
       GALOIS_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
+      const int lo_depth = depth_;
       GALOIS_RETURN_IF_ERROR(ExpectKeyword("AND"));
       GALOIS_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max({lhs_depth, lo_depth, depth_})));
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kBetween;
       e->children.push_back(std::move(lhs));
       e->children.push_back(std::move(lo));
       e->children.push_back(std::move(hi));
       ExprPtr out(std::move(e));
-      if (negated) out = Expr::MakeUnary(UnaryOp::kNot, std::move(out));
+      if (negated) {
+        GALOIS_RETURN_IF_ERROR(Deepen(depth_));
+        out = Expr::MakeUnary(UnaryOp::kNot, std::move(out));
+      }
       return out;
     }
     if (AcceptKeyword("IN")) {
@@ -258,19 +307,26 @@ class Parser {
       e->kind = ExprKind::kInList;
       e->negated = negated;
       e->children.push_back(std::move(lhs));
+      int child_depth = lhs_depth;
       while (true) {
         GALOIS_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
+        child_depth = std::max(child_depth, depth_);
         e->children.push_back(std::move(item));
         if (!Accept(TokenType::kComma)) break;
       }
       GALOIS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+      GALOIS_RETURN_IF_ERROR(Deepen(child_depth));
       return ExprPtr(std::move(e));
     }
     if (AcceptKeyword("LIKE")) {
       GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
       ExprPtr out =
           Expr::MakeBinary(BinaryOp::kLike, std::move(lhs), std::move(rhs));
-      if (negated) out = Expr::MakeUnary(UnaryOp::kNot, std::move(out));
+      if (negated) {
+        GALOIS_RETURN_IF_ERROR(Deepen(depth_));
+        out = Expr::MakeUnary(UnaryOp::kNot, std::move(out));
+      }
       return out;
     }
     BinaryOp op;
@@ -298,6 +354,7 @@ class Parser {
     }
     Advance();
     GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+    GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
     return Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
   }
 
@@ -313,7 +370,9 @@ class Parser {
         break;
       }
       Advance();
+      const int lhs_depth = depth_;
       GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
       lhs = Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -333,7 +392,9 @@ class Parser {
         break;
       }
       Advance();
+      const int lhs_depth = depth_;
       GALOIS_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      GALOIS_RETURN_IF_ERROR(Deepen(std::max(lhs_depth, depth_)));
       lhs = Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -341,11 +402,18 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Accept(TokenType::kMinus)) {
+      GALOIS_RETURN_IF_ERROR(Enter());
       GALOIS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      --nesting_;
+      GALOIS_RETURN_IF_ERROR(Deepen(depth_));
       return Expr::MakeUnary(UnaryOp::kNegate, std::move(operand));
     }
     if (Accept(TokenType::kPlus)) {
-      return ParseUnary();
+      // A unary plus builds no node, but still recurses.
+      GALOIS_RETURN_IF_ERROR(Enter());
+      GALOIS_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      --nesting_;
+      return operand;
     }
     return ParsePrimary();
   }
@@ -357,6 +425,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParsePrimary() {
+    depth_ = 1;  // a leaf; parenthesised and aggregate primaries overwrite it
     const Token& tok = Current();
     switch (tok.type) {
       case TokenType::kIntLiteral: {
@@ -411,6 +480,7 @@ class Parser {
             args.push_back(std::move(arg));
           }
           GALOIS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+          GALOIS_RETURN_IF_ERROR(Deepen(depth_));
           return Expr::MakeFunction(name, std::move(args), distinct);
         }
         return Unexpected("expression");
@@ -445,6 +515,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // open syntactic nesting levels (Enter)
+  int depth_ = 0;    // tree depth of the expression last parsed
 };
 
 }  // namespace

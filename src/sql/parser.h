@@ -8,6 +8,15 @@
 
 namespace galois::sql {
 
+/// Deepest expression tree ParseSelect accepts, where a node's depth is 1
+/// plus the depth of its deepest child (a literal or column reference is
+/// 1; `a = 'x' AND b = 'y'` is 3). The same bound caps how deeply
+/// expressions may nest syntactically — parentheses, function arguments,
+/// IN-list items, NOT and unary signs each open one level. Deeper input
+/// is a kParseError, so every recursive walker downstream (planner,
+/// evaluator, Expr::ToString, the destructor) runs on a bounded tree.
+inline constexpr int kMaxExprDepth = 256;
+
 /// Parses one SELECT statement in the SPJA dialect.
 ///
 /// Supported grammar (case-insensitive keywords):
@@ -18,7 +27,8 @@ namespace galois::sql {
 /// where table_ref := [source '.'] table [[AS] alias] and expressions cover
 /// literals, column refs, arithmetic, comparisons, AND/OR/NOT, LIKE,
 /// BETWEEN, IN lists, IS [NOT] NULL, and aggregate calls
-/// (COUNT/SUM/AVG/MIN/MAX, with DISTINCT and COUNT(*)).
+/// (COUNT/SUM/AVG/MIN/MAX, with DISTINCT and COUNT(*)). Expressions are
+/// bounded by kMaxExprDepth.
 Result<SelectStatement> ParseSelect(const std::string& query);
 
 }  // namespace galois::sql

@@ -209,20 +209,8 @@ TEST(GaloisdE2eTest, WorkloadByteIdenticalOverTheWireVsInProcess) {
                 1e-6 * (1.0 + expected->cost.simulated_latency_ms))
         << "q" << query.id;
 
-    // Cache and prefetch counters travel too.
-    EXPECT_EQ(got->table_cache_lookups, expected->table_cache_lookups)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_hits, expected->table_cache_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_exact_hits, expected->table_cache_exact_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->table_cache_subsumption_hits,
-              expected->table_cache_subsumption_hits)
-        << "q" << query.id;
-    EXPECT_EQ(got->scan_pages_prefetched, expected->scan_pages_prefetched)
-        << "q" << query.id;
-    EXPECT_EQ(got->scan_pages_overfetched, expected->scan_pages_overfetched)
-        << "q" << query.id;
+    // Cache and prefetch counters travel too — every one of them.
+    EXPECT_TRUE(got->counters() == expected->counters()) << "q" << query.id;
 
     // The plan report and wall clock travel (values are machine-local).
     EXPECT_FALSE(got->physical_plan.empty()) << "q" << query.id;
@@ -265,6 +253,36 @@ TEST(GaloisdE2eTest, QueryErrorTravelsAndConnectionStaysUsable) {
 
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.queries_error, 1);
+  EXPECT_EQ(stats.queries_ok, 1);
+  server.Shutdown();
+}
+
+TEST(GaloisdE2eTest, OverDeepExpressionIsAParseErrorAndDaemonStaysUp) {
+  auto db = OpenSimDb();
+  GaloisServer server(db.get(), ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+  GaloisClient client = ConnectTo(server.port());
+
+  // 100,000 chained conjuncts (~1.5 MB, far below the frame cap): a tree
+  // 100,001 levels deep, which used to parse and then overflow the stack
+  // in the first recursive walk over it, killing the daemon. 50,000
+  // nested NOTs overflowed it inside the parser itself.
+  std::string and_chain = "SELECT name FROM city WHERE name = 'x'";
+  for (int i = 1; i < 100000; ++i) and_chain += " AND name = 'x'";
+  std::string not_chain = "SELECT name FROM city WHERE ";
+  for (int i = 0; i < 50000; ++i) not_chain += "NOT ";
+  not_chain += "name = 'x'";
+  for (const std::string& sql : {and_chain, not_chain}) {
+    auto deep = client.Query(sql);
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kParseError)
+        << deep.status();
+  }
+
+  auto good = client.Query(W().queries()[0].sql);
+  EXPECT_TRUE(good.ok()) << good.status();
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queries_error, 2);
   EXPECT_EQ(stats.queries_ok, 1);
   server.Shutdown();
 }

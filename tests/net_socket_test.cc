@@ -493,6 +493,18 @@ TEST(PartialQueryCodecTest, RequestRejectsBadDescriptorHex) {
             PartialQueryRequestFromJson(j).status().code());
 }
 
+/// Every QueryCounters field set, through the field visitor, to a
+/// distinct non-zero value — a codec that drops, swaps or zeroes any
+/// counter cannot round-trip it.
+core::QueryCounters DistinctCounters() {
+  core::QueryCounters counters;
+  int64_t value = 0;
+  for (const core::QueryCounters::Field& f : core::QueryCounters::kFields) {
+    counters.*f.member = (value += 11);
+  }
+  return counters;
+}
+
 TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   PartialQueryResponse response;
   response.table = "country";
@@ -511,11 +523,7 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   response.cost.simulated_latency_ms = 41.25;
   response.cost.by_model["gpt"].num_prompts = 7;
   response.cost.by_model["gpt"].prompt_tokens = 120;
-  response.table_cache_lookups = 1;
-  response.table_cache_hits = 1;
-  response.table_cache_exact_hits = 1;
-  response.scan_pages_prefetched = 2;
-  response.scan_pages_overfetched = 1;
+  response.counters() = DistinctCounters();
   auto parsed = Json::Parse(PartialQueryResponseToJson(response).Dump());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   auto decoded = PartialQueryResponseFromJson(parsed.value());
@@ -534,13 +542,80 @@ TEST(PartialQueryCodecTest, ResponseRoundTrip) {
   ASSERT_EQ(1u, decoded.value().cost.by_model.size());
   EXPECT_TRUE(response.cost.by_model.at("gpt") ==
               decoded.value().cost.by_model.at("gpt"));
-  EXPECT_EQ(response.table_cache_lookups, decoded.value().table_cache_lookups);
-  EXPECT_EQ(response.table_cache_exact_hits,
-            decoded.value().table_cache_exact_hits);
-  EXPECT_EQ(response.scan_pages_prefetched,
-            decoded.value().scan_pages_prefetched);
-  EXPECT_EQ(response.scan_pages_overfetched,
-            decoded.value().scan_pages_overfetched);
+  EXPECT_TRUE(response.counters() == decoded.value().counters());
+}
+
+TEST(CounterCodecTest, QueryResultRoundTripsEveryCounter) {
+  QueryResult result;
+  result.counters() = DistinctCounters();
+  auto parsed = Json::Parse(QueryResultToJson(result).Dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto decoded = QueryResultFromJson(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded.value().counters() == DistinctCounters());
+}
+
+TEST(CounterCodecTest, ServerStatsRoundTripsEveryCounter) {
+  ServerStats stats;
+  stats.counters() = DistinctCounters();
+  auto parsed = Json::Parse(ServerStatsToJson(stats).Dump());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  auto decoded = ServerStatsFromJson(parsed.value());
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded.value().counters() == DistinctCounters());
+  // The text rendering carries one line per counter, too.
+  const std::string rendered = stats.ToString();
+  for (const core::QueryCounters::Field& f : core::QueryCounters::kFields) {
+    EXPECT_NE(rendered.find(f.name), std::string::npos) << f.name;
+  }
+}
+
+TEST(CounterCodecTest, CountersAddFieldByField) {
+  core::QueryCounters sum = DistinctCounters();
+  sum += DistinctCounters();
+  int64_t value = 0;
+  for (const core::QueryCounters::Field& f : core::QueryCounters::kFields) {
+    EXPECT_EQ(sum.*f.member, 2 * (value += 11)) << f.name;
+  }
+  EXPECT_FALSE(sum == DistinctCounters());
+}
+
+/// QueryResultToJson bytes for the result QueryResultBytesArePinned
+/// builds. Frozen: key names and key order are the wire contract with
+/// peers of other versions — if this fails, fix the codec, do not
+/// re-capture.
+const char kPinnedQueryResult[] =
+    R"({"relation":{"columns":[{"name":"name","type":"VARCHAR",)"
+    R"("table":"c"},{"name":"pop","type":"INT","table":"c"}],)"
+    R"("rows":[[{"t":"string","v":"France"},{"t":"int","v":"68"}]]},)"
+    R"("cost":{"num_prompts":3,"prompt_tokens":40,"completion_tokens":9,)"
+    R"("simulated_latency_ms":12.5,"cache_hits":0,"store_hits":0,)"
+    R"("num_batches":1,"by_model":{"m":{"num_prompts":3,)"
+    R"("prompt_tokens":0,"completion_tokens":0,"simulated_latency_ms":0,)"
+    R"("num_batches":0}}},"table_cache_lookups":11,"table_cache_hits":22,)"
+    R"("table_cache_exact_hits":33,"table_cache_subsumption_hits":44,)"
+    R"("table_cache_store_hits":55,"scan_pages_prefetched":66,)"
+    R"("scan_pages_overfetched":77,"wall_ms":1.25,)"
+    R"("physical_plan":"Scan c"})";
+
+TEST(CounterCodecTest, QueryResultBytesArePinned) {
+  // The exact payload for one small result: key names and key order are
+  // part of the wire contract (a peer of another version reads them).
+  QueryResult result;
+  Relation rel(Schema({Column("name", DataType::kString, "c"),
+                       Column("pop", DataType::kInt64, "c")}));
+  rel.AddRowUnchecked({Value::String("France"), Value::Int(68)});
+  result.relation = rel;
+  result.cost.num_prompts = 3;
+  result.cost.prompt_tokens = 40;
+  result.cost.completion_tokens = 9;
+  result.cost.simulated_latency_ms = 12.5;
+  result.cost.num_batches = 1;
+  result.cost.by_model["m"].num_prompts = 3;
+  result.counters() = DistinctCounters();
+  result.wall_ms = 1.25;
+  result.physical_plan = "Scan c";
+  EXPECT_EQ(QueryResultToJson(result).Dump(), kPinnedQueryResult);
 }
 
 TEST(PartialQueryCodecTest, TruncatedPartialFrameIsIoError) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "knowledge/workload.h"
 #include "sql/parser.h"
 
@@ -200,6 +203,95 @@ TEST(ParserTest, ErrorMessagesIncludeOffset) {
   auto r = ParseSelect("SELECT a FROM t WHERE >");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("offset"), std::string::npos);
+}
+
+// --- expression depth bound ---------------------------------------------
+
+int TreeDepth(const Expr& e) {
+  int deepest = 0;
+  for (const ExprPtr& c : e.children) {
+    deepest = std::max(deepest, TreeDepth(*c));
+  }
+  return deepest + 1;
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// WHERE NOT ... NOT name = 'x': `nots` NOTs over a depth-2 comparison.
+std::string NotChain(int nots) {
+  return "SELECT name FROM city WHERE " + Repeat("NOT ", nots) +
+         "name = 'x'";
+}
+
+/// WHERE name = 'x' AND ... : `conjuncts` comparisons, left-deep.
+std::string AndChain(int conjuncts) {
+  return "SELECT name FROM city WHERE name = 'x'" +
+         Repeat(" AND name = 'x'", conjuncts - 1);
+}
+
+/// SELECT - - ... - 1: `minuses` negations over a literal.
+std::string MinusChain(int minuses) {
+  return "SELECT " + Repeat("- ", minuses) + "1 FROM city";
+}
+
+/// WHERE ((...(name = 'x')...)): the top-level expression plus one
+/// nesting level per parenthesis pair.
+std::string ParenNest(int levels) {
+  return "SELECT name FROM city WHERE " + Repeat("(", levels - 1) +
+         "name = 'x'" + Repeat(")", levels - 1);
+}
+
+void ExpectTooDeep(const std::string& q) {
+  auto r = ParseSelect(q);
+  ASSERT_FALSE(r.ok()) << q.substr(0, 80);
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("nested deeper than"),
+            std::string::npos)
+      << r.status();
+}
+
+TEST(ParserDepthTest, NotChainBoundedByTreeDepth) {
+  SelectStatement s = Parse(NotChain(kMaxExprDepth - 2));
+  ASSERT_TRUE(s.where);
+  EXPECT_EQ(TreeDepth(*s.where), kMaxExprDepth);
+  ExpectTooDeep(NotChain(kMaxExprDepth - 1));
+}
+
+TEST(ParserDepthTest, AndChainBoundedByTreeDepth) {
+  // Left-deep chains are built iteratively: only the tree bound sees them.
+  SelectStatement s = Parse(AndChain(kMaxExprDepth - 1));
+  ASSERT_TRUE(s.where);
+  EXPECT_EQ(TreeDepth(*s.where), kMaxExprDepth);
+  ExpectTooDeep(AndChain(kMaxExprDepth));
+}
+
+TEST(ParserDepthTest, UnaryMinusChainBoundedByTreeDepth) {
+  SelectStatement s = Parse(MinusChain(kMaxExprDepth - 1));
+  ASSERT_EQ(s.select_list.size(), 1u);
+  EXPECT_EQ(TreeDepth(*s.select_list[0].expr), kMaxExprDepth);
+  ExpectTooDeep(MinusChain(kMaxExprDepth));
+}
+
+TEST(ParserDepthTest, ParenthesisNestingBounded) {
+  // Parentheses add no tree node, but each one is a level of parser
+  // recursion.
+  SelectStatement s = Parse(ParenNest(kMaxExprDepth));
+  ASSERT_TRUE(s.where);
+  EXPECT_EQ(TreeDepth(*s.where), 2);
+  ExpectTooDeep(ParenNest(kMaxExprDepth + 1));
+}
+
+TEST(ParserDepthTest, HostileNestingIsAParseErrorNotACrash) {
+  // Unbounded, each overflows an 8 MB stack: the NOT chain inside the
+  // parser, the AND chain in the first recursive walk over its tree.
+  ExpectTooDeep(NotChain(50000));
+  ExpectTooDeep(AndChain(100000));
+  ExpectTooDeep("SELECT name FROM city WHERE " + Repeat("(", 100000));
+  ExpectTooDeep("SELECT " + Repeat("+", 100000) + "1 FROM city");
 }
 
 TEST(ParserTest, ExprCloneIsDeep) {
