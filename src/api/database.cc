@@ -296,12 +296,7 @@ Result<QueryResult> Session::RunSnapshot(
   core::GaloisExecutor executor(db->model_, db->catalog_, snapshot);
   executor.set_materialisation_cache(db->table_cache_);
   GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
-  QueryResult result;
-  result.relation = std::move(out.relation);
-  result.cost = std::move(out.cost);
-  result.trace = std::move(out.trace);
-  result.counters() = out;
-  result.physical_plan = std::move(out.physical_plan);
+  QueryResult result(std::move(out));
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

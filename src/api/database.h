@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -17,7 +18,6 @@
 #include "core/galois_executor.h"
 #include "core/materialisation_cache.h"
 #include "core/options.h"
-#include "core/query_counters.h"
 #include "knowledge/workload.h"
 #include "llm/http_llm.h"
 #include "llm/language_model.h"
@@ -35,28 +35,18 @@ namespace cluster {
 class ClusterCoordinator;
 }
 
-/// The result of one query, as one self-contained value: the relation
-/// plus this query's own measurements. Nothing here aliases shared
-/// state, so results from concurrent sessions never interfere — the
-/// replacement for the old per-executor `last_cost()/last_trace()/
+/// The result of one query, as one self-contained value: the engine's
+/// core::QueryOutput (relation, CostMeter, provenance trace, physical
+/// plan, and the materialisation-cache and prefetch counters) plus the
+/// measured wall-clock time. Nothing here aliases shared state, so
+/// results from concurrent sessions never interfere — the replacement
+/// for the old per-executor `last_cost()/last_trace()/
 /// last_table_cache_*` side-channels, which allowed one in-flight query
-/// per executor and no safe sharing. The materialisation-cache and
-/// prefetch counters are the core::QueryCounters base.
-struct QueryResult : core::QueryCounters {
-  Relation relation;
-
-  /// Exactly this query's LLM spend (per-backend breakdown included),
-  /// attributed per round trip — correct under any number of concurrent
-  /// queries against the same Database.
-  llm::CostMeter cost;
-
-  /// Per-cell provenance; populated only when the session's options set
-  /// record_provenance.
-  core::ExecutionTrace trace;
-
-  /// Rendering of the executed physical operator DAG with per-operator
-  /// rows / round trips / cost (the shell's `.explain` output).
-  std::string physical_plan;
+/// per executor and no safe sharing.
+struct QueryResult : core::QueryOutput {
+  QueryResult() = default;
+  explicit QueryResult(core::QueryOutput out)
+      : core::QueryOutput(std::move(out)) {}
 
   /// Measured wall-clock time of the query.
   double wall_ms = 0.0;

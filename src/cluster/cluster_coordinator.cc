@@ -1,7 +1,6 @@
 #include "cluster/cluster_coordinator.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/galois_executor.h"
@@ -52,7 +51,9 @@ std::string ClusterStats::ToString() const {
 
 ClusterCoordinator::ClusterCoordinator(const Database* db,
                                        ClusterOptions options)
-    : db_(db), options_(std::move(options)) {
+    : db_(db),
+      options_(std::move(options)),
+      scatter_pool_(kScatterThreadsPerNode * options_.nodes.size()) {
   nodes_.reserve(options_.nodes.size());
   for (const NodeSpec& spec : options_.nodes) {
     auto node = std::make_unique<NodeState>();
@@ -215,13 +216,7 @@ Result<QueryResult> ClusterCoordinator::RunLocal(
   core::GaloisExecutor executor(db_->model(), &db_->catalog(), snapshot);
   executor.set_materialisation_cache(db_->materialisation_cache());
   GALOIS_ASSIGN_OR_RETURN(core::QueryOutput out, executor.RunSql(sql));
-  QueryResult result;
-  result.relation = std::move(out.relation);
-  result.cost = std::move(out.cost);
-  result.trace = std::move(out.trace);
-  result.counters() = out;
-  result.physical_plan = std::move(out.physical_plan);
-  return result;
+  return QueryResult(std::move(out));
 }
 
 Result<QueryResult> ClusterCoordinator::Query(
@@ -289,23 +284,22 @@ Result<QueryResult> ClusterCoordinator::Query(
     }
   }
 
-  // Scatter on dedicated threads — NOT the shared phase pool: in-process
-  // deployments (the e2e suite) run the node servers on that pool, and
-  // parking coordinator dispatches on it while they wait for node work
-  // scheduled behind them would deadlock.
-  std::vector<Result<net::PartialQueryResponse>> responses(
-      dispatches.size(), Status::Internal("cluster: shard not dispatched"));
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(dispatches.size());
-    for (size_t i = 0; i < dispatches.size(); ++i) {
-      threads.emplace_back([this, &dispatches, &responses, i]() {
-        responses[i] =
-            DispatchShard(dispatches[i].request, dispatches[i].preferred);
-      });
-    }
-    for (std::thread& t : threads) t.join();
+  // Scatter: dispatch 0 runs inline on the query thread, the rest on the
+  // scatter pool. The tasks borrow `dispatches`, so every handle is
+  // joined before any response is read.
+  auto dispatch = [this, &dispatches](size_t i) {
+    return DispatchShard(dispatches[i].request, dispatches[i].preferred);
+  };
+  std::vector<TaskHandle<Result<net::PartialQueryResponse>>> handles;
+  handles.reserve(dispatches.size() - 1);
+  for (size_t i = 1; i < dispatches.size(); ++i) {
+    handles.push_back(TaskHandle<Result<net::PartialQueryResponse>>::Launch(
+        scatter_pool_, [dispatch, i] { return dispatch(i); }));
   }
+  std::vector<Result<net::PartialQueryResponse>> responses;
+  responses.reserve(dispatches.size());
+  responses.push_back(dispatch(0));
+  for (auto& handle : handles) responses.push_back(handle.Join());
 
   // First failure in FROM order wins — the order the facade's sequential
   // executor would have hit it.
@@ -341,13 +335,9 @@ Result<QueryResult> ClusterCoordinator::Query(
                           merger.RunSqlWithOverlays(sql, std::move(overlays)));
   cost += out.cost;  // non-LLM residue of the merge run (normally zero)
   counters += out;
-
-  QueryResult result;
-  result.relation = std::move(out.relation);
+  QueryResult result(std::move(out));
   result.cost = std::move(cost);
-  result.trace = std::move(out.trace);
   result.counters() = counters;
-  result.physical_plan = std::move(out.physical_plan);
   return finish(std::move(result));
 }
 

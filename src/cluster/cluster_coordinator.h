@@ -10,6 +10,7 @@
 #include "api/database.h"
 #include "cluster/cluster_options.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "net/galois_client.h"
 #include "net/protocol.h"
 
@@ -82,9 +83,19 @@ struct ClusterStats {
 ///
 /// Thread-safe: Query may be called from any number of sessions
 /// concurrently. Connections are pooled per node (GaloisClient is
-/// single-threaded; a client is checked out per dispatch).
+/// single-threaded; a client is checked out per dispatch). A query runs
+/// its first shard dispatch inline and the rest as TaskHandles on the
+/// coordinator's scatter pool, so its thread count is bounded.
 class ClusterCoordinator {
  public:
+  /// Scatter pool workers per node. A node at ServerOptions' default
+  /// admission (max_in_flight = 8) executes at most 8 shard dispatches
+  /// at once, so a pool of nodes x 8 keeps as many dispatches in flight
+  /// as the nodes together admit; a further worker would wait in a
+  /// node's admission queue. Past that, a dispatch no worker has claimed
+  /// runs inline when its query joins it, after the ones before it.
+  static constexpr size_t kScatterThreadsPerNode = 8;
+
   /// Verifies at least one node answers a ping (unreachable nodes start
   /// with one recorded fault), then returns the coordinator. `db` is
   /// borrowed and must outlive it.
@@ -152,6 +163,10 @@ class ClusterCoordinator {
   mutable int64_t queries_local_ = 0;
   mutable int64_t shards_dispatched_ = 0;
   mutable int64_t redispatches_ = 0;
+
+  /// Shard dispatches 1..n-1 of each query. Not SharedPhase(): see the
+  /// tier rule in common/thread_pool.h. Last member, so torn down first.
+  mutable ThreadPool scatter_pool_;
 };
 
 }  // namespace galois::cluster

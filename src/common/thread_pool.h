@@ -27,11 +27,17 @@ namespace galois {
 /// `std::thread::hardware_concurrency()`.
 ///
 /// Thread safety: `Submit` may be called from any thread, including
-/// concurrently. Tasks must not block on the completion of *other* pool
-/// tasks (a task that waits for a queued task can deadlock when every
-/// worker is occupied); callers that need to wait — like
-/// `BatchScheduler::Flush` — must do so from a non-pool thread via the
-/// returned future.
+/// concurrently. A task must not wait on a raw future of another task of
+/// its own pool (it can deadlock once every worker waits). Fan-out is
+/// done with TaskHandle, whose claim-on-join runs an unstarted task
+/// inline on the joiner, under the tier rule:
+///  - round-trip tasks (Shared(): `BatchScheduler::Flush` chunks) wait
+///    on nothing but the model;
+///  - phase tasks (SharedPhase(), via PhaseTask) may wait on round-trip
+///    futures and Join further phase tasks, never the converse;
+///  - tasks that wait on remote work (cluster shard dispatches) run on
+///    their owner's pool, never SharedPhase(): an in-process node serves
+///    that work on the phase pool.
 ///
 /// Error behavior: a task that throws has the exception captured in its
 /// future (rethrown by `future::get`); the worker thread survives. Project
@@ -66,17 +72,17 @@ class ThreadPool {
   /// keeps at most this many round trips in flight.
   static constexpr size_t kSharedThreads = 16;
 
-  /// The process-wide pool for *phase-level* tasks: whole scheduler
-  /// flushes dispatched via BatchScheduler::FlushAsync and the per-table
-  /// and per-column materialisation tasks of the pipelined Galois
-  /// executor. Kept separate from Shared() because a phase task blocks on
-  /// round-trip futures: the two-tier split guarantees a waiting phase
-  /// can never occupy a worker the round trips underneath it need. Same
-  /// lifetime rules as Shared().
+  /// The process-wide pool for *phase-level* tasks, all launched as
+  /// TaskHandles through PhaseTask: the per-table and per-column
+  /// materialisation tasks of the pipelined Galois executor and the
+  /// speculative key-scan page tasks. Kept separate from Shared() because
+  /// a phase task blocks on round-trip futures: the two-tier split
+  /// guarantees a waiting phase can never occupy a worker the round trips
+  /// underneath it need. Same lifetime rules as Shared().
   static ThreadPool& SharedPhase();
 
   /// Size of the phase pool: bounds how many phases (table tasks, column
-  /// retrievals, critic passes) overlap. TaskHandle's claim-on-join makes
+  /// chains, scan pages) overlap. TaskHandle's claim-on-join makes
   /// saturation safe — a joiner runs unstarted work inline — so this is a
   /// throughput knob, not a correctness bound.
   static constexpr size_t kSharedPhaseThreads = 8;
@@ -164,6 +170,18 @@ class TaskHandle {
   };
   std::shared_ptr<State> state_;
 };
+
+/// The one launch-or-defer helper for phase tasks (a table, a column's
+/// retrieve-then-verify chain, a speculative key-scan page). With
+/// `concurrent` it launches on ThreadPool::SharedPhase() at once;
+/// otherwise it is deferred and runs inline when joined — the paper
+/// prototype's strictly sequential order from the same code path.
+template <typename T>
+TaskHandle<T> PhaseTask(bool concurrent, std::function<T()> fn) {
+  return concurrent
+             ? TaskHandle<T>::Launch(ThreadPool::SharedPhase(), std::move(fn))
+             : TaskHandle<T>::Defer(std::move(fn));
+}
 
 }  // namespace galois
 

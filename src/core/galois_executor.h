@@ -22,7 +22,7 @@ class MaterialisationCache;
 /// the relation plus the query's own cost meter, provenance trace,
 /// physical-plan report and materialisation-cache traffic (the
 /// QueryCounters base). Returned by GaloisExecutor::Run, and the
-/// engine-level half of the public galois::QueryResult. Because the
+/// base of the public galois::QueryResult. Because the
 /// result is a value (not accessors on the executor), concurrent queries
 /// against one executor can never read each other's measurements.
 struct QueryOutput : QueryCounters {

@@ -1,8 +1,10 @@
 #include "core/llm_operators.h"
 
+#include <deque>
 #include <unordered_set>
 
 #include "clean/normalize.h"
+#include "common/thread_pool.h"
 #include "llm/prompt_templates.h"
 
 namespace galois::core {
@@ -99,8 +101,7 @@ std::vector<int> ParseVerdicts(
 
 namespace {
 
-/// Builds the page-k scan prompt (shared by the sequential and
-/// speculative paging paths, so both issue byte-identical prompts).
+/// Builds the page-k scan prompt.
 llm::Prompt BuildScanPagePrompt(const catalog::TableDef& table,
                                 const std::optional<llm::PromptFilter>& filter,
                                 int page) {
@@ -143,87 +144,68 @@ Result<std::vector<std::string>> LlmKeyScan(
   std::vector<std::string> keys;
   std::unordered_set<std::string> seen;
 
-  // Prefetch never applies to LIMIT-bounded scans: the bound promises
-  // that no round trip past the satisfying page is ever issued, and a
-  // speculated page would break exactly that.
+  // One paging loop: a window of page tasks, joined strictly in page
+  // order, so the termination decision (and therefore the key set) never
+  // depends on the window. Page prompts are independent texts, so with
+  // prefetch the window keeps pages k+1..k+W in flight on the phase pool
+  // while page k's answer is consumed. Prefetch never applies to
+  // LIMIT-bounded scans: the bound promises that no round trip past the
+  // satisfying page is ever issued. Without prefetch the window is one
+  // deferred task, run inline at Join — the paper's sequential scan.
   const bool prefetch = options.prefetch_pages > 0 && key_limit < 0;
-  if (!prefetch) {
-    llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
-                                  "key-scan:" + table.entity_type);
-    for (int page = 0; page < options.max_scan_pages; ++page) {
+  const size_t window =
+      prefetch ? static_cast<size_t>(options.prefetch_pages) + 1 : 1;
+  const llm::BatchScheduler scheduler(model, BatchPolicyFor(options),
+                                      "key-scan:" + table.entity_type);
+  std::deque<TaskHandle<Result<llm::Completion>>> inflight;  // page order
+  int next_page = 0;
+  auto fill = [&]() {
+    while (inflight.size() < window && next_page < options.max_scan_pages) {
       // LIMIT-bounded paging: enough keys are already scanned that the
       // downstream Limit operator is satisfiable — stop buying pages.
-      if (key_limit >= 0 &&
-          static_cast<int64_t>(keys.size()) >= key_limit) {
-        break;
+      if (key_limit >= 0 && static_cast<int64_t>(keys.size()) >= key_limit) {
+        return;
       }
-      if (stats != nullptr) ++stats->pages;
-      GALOIS_ASSIGN_OR_RETURN(
-          llm::Completion completion,
-          scheduler.CompleteOne(BuildScanPagePrompt(table, filter, page)));
-      if (!ConsumeScanPage(completion, &keys, &seen)) break;
-    }
-    return keys;
-  }
-
-  // Speculative paging: page prompts are independent texts, so page
-  // k+1..k+W can be bought while page k's answer is being parsed. Each
-  // page goes out as a single-prompt async phase with batching off —
-  // that dispatch path is one Complete call per page, billing exactly
-  // like the sequential CompleteOne — and handles are joined strictly
-  // in page order, so the termination decision (and therefore the key
-  // set) is identical to the sequential scan.
-  llm::BatchPolicy policy = BatchPolicyFor(options);
-  policy.batch = false;
-  llm::BatchScheduler scheduler(model, policy,
-                                "key-scan:" + table.entity_type);
-  const int window = options.prefetch_pages + 1;
-  std::vector<llm::PhaseHandle> inflight;  // page order
-  int next_page = 0;
-  auto issue = [&]() {
-    if (next_page >= options.max_scan_pages) return;
-    inflight.push_back(scheduler.RunAsync(
-        {BuildScanPagePrompt(table, filter, next_page)}));
-    ++next_page;
-    if (stats != nullptr) {
-      ++stats->pages;
-      // Every page after the first is bought before the preceding
-      // page's answer has been consumed; only page 0 is demand-fetched.
-      if (next_page > 1) ++stats->prefetched;
+      inflight.push_back(PhaseTask<Result<llm::Completion>>(
+          prefetch,
+          [&scheduler, prompt = BuildScanPagePrompt(table, filter,
+                                                    next_page)] {
+            return scheduler.CompleteOne(prompt);
+          }));
+      ++next_page;
+      if (stats != nullptr) {
+        ++stats->pages;
+        // Bought before an earlier page's answer was consumed.
+        if (inflight.size() > 1) ++stats->prefetched;
+      }
     }
   };
   // Every speculated round trip was started (and bills) whether or not
   // the scan still wants its answer: join the stragglers so their
-  // completions settle into any prompt-cache decorator instead of being
-  // abandoned mid-flight.
-  auto drain = [&](size_t from) {
+  // completions settle into any prompt-cache decorator — and so no task
+  // outlives the scheduler it borrows.
+  auto drain = [&]() {
     if (stats != nullptr) {
-      stats->overfetched += static_cast<int>(inflight.size() - from);
+      stats->overfetched += static_cast<int>(inflight.size());
     }
-    for (size_t i = from; i < inflight.size(); ++i) {
-      (void)inflight[i].Join();
+    for (TaskHandle<Result<llm::Completion>>& page : inflight) {
+      (void)page.Join();
     }
     inflight.clear();
   };
 
-  while (static_cast<int>(inflight.size()) < window &&
-         next_page < options.max_scan_pages) {
-    issue();
-  }
-  size_t front = 0;
-  while (front < inflight.size()) {
-    Result<std::vector<llm::Completion>> page = inflight[front].Join();
-    ++front;
+  fill();
+  while (!inflight.empty()) {
+    Result<llm::Completion> page = inflight.front().Join();
+    inflight.pop_front();
     if (!page.ok()) {
-      drain(front);
+      drain();
       return page.status();
     }
-    if (!ConsumeScanPage(page.value()[0], &keys, &seen)) {
-      drain(front);
-      return keys;
-    }
-    issue();
+    if (!ConsumeScanPage(page.value(), &keys, &seen)) break;
+    fill();
   }
+  drain();
   return keys;
 }
 

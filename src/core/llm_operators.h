@@ -49,22 +49,26 @@ struct KeyScanStats {
 /// producing new keys (workflow: "we iterate with the prompt until we stop
 /// getting new results"). An optional `filter` is pushed into the scan
 /// prompt (Section 6 optimisation). Keys are deduplicated, first-seen
-/// order. Page prompts are independent texts (page k+1's prompt does not
-/// embed page k's answer), but the *termination decision* is sequential,
-/// so by default the scan issues them through the scheduler one at a
-/// time. With options.prefetch_pages > 0 it instead keeps up to that
-/// many further page round trips speculatively in flight
-/// (BatchScheduler::RunAsync single-prompt phases, joined in page
-/// order): the surviving keys, pages bought and CostMeter are identical
-/// whenever the scan terminates at the max_scan_pages cap, and when the
-/// model terminates the scan early the already-speculated pages are
-/// joined (they bill, and their completions stay in any prompt-cache
-/// decorator) and reported as overfetched. `key_limit >= 0` stops paging
-/// as soon as that many keys have been scanned (the plan compiler sets
-/// it when a LIMIT provably bounds the scan): the returned prefix may
-/// exceed the limit within the last page but no further page round trips
-/// are issued — prefetch is disabled on bounded scans to preserve
-/// exactly that guarantee.
+/// order.
+///
+/// Every page is one BatchScheduler::CompleteOne round trip wrapped in a
+/// TaskHandle (PhaseTask), and one loop joins the page handles strictly
+/// in page order. Page prompts are independent texts (page k+1's prompt
+/// does not embed page k's answer), but the *termination decision* is
+/// sequential. By default the window holds one deferred page, run inline
+/// at Join: one page at a time. With options.prefetch_pages > 0 the
+/// window keeps up to that many further pages speculatively in flight on
+/// the phase pool: the surviving keys, pages bought and CostMeter are
+/// identical whenever the scan terminates at the max_scan_pages cap, and
+/// when the model terminates the scan early the already-speculated pages
+/// are joined (they bill, and their completions stay in any prompt-cache
+/// decorator) and reported as overfetched. A failed page returns the
+/// model's error as-is in both modes. `key_limit >= 0` stops paging as
+/// soon as that many keys have been scanned (the plan compiler sets it
+/// when a LIMIT provably bounds the scan; `key_limit == 0` buys no page):
+/// the returned prefix may exceed the limit within the last page but no
+/// further page round trips are issued — prefetch is disabled on bounded
+/// scans to preserve exactly that guarantee.
 Result<std::vector<std::string>> LlmKeyScan(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const ExecutionOptions& options,

@@ -61,17 +61,6 @@ void ApplyVerdicts(const std::vector<int>& verdicts,
   }
 }
 
-/// Wraps one phase task of the materialisation ladder (a table, or a
-/// column's retrieve-then-verify chain). With `concurrent` it launches on
-/// the phase pool at once; otherwise it is deferred and runs inline when
-/// joined — the paper prototype's strictly sequential order.
-template <typename T>
-TaskHandle<T> PhaseTask(bool concurrent, std::function<T()> fn) {
-  return concurrent ? TaskHandle<T>::Launch(ThreadPool::SharedPhase(),
-                                            std::move(fn))
-                    : TaskHandle<T>::Defer(std::move(fn));
-}
-
 /// Joins `tasks` in order and returns their values, or the first error in
 /// that order. After a failure no further prompt is spent on the tasks
 /// behind it: the ones no worker has claimed are dropped without running

@@ -7,7 +7,7 @@ namespace galois::core {
 
 /// The per-query materialisation-cache and key-scan prefetch counters,
 /// declared once and inherited (as a public base) by every layer that
-/// reports them: core::QueryOutput, galois::QueryResult,
+/// reports them: core::QueryOutput (and through it galois::QueryResult),
 /// eval::QueryOutcome, net::PartialQueryResponse and net::ServerStats.
 /// Layers move them with one assignment (`counters() = other`) or
 /// aggregate them with `+=`; the wire codecs and text renderings walk

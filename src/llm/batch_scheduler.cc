@@ -191,25 +191,4 @@ Result<std::vector<Completion>> BatchScheduler::Run(
   return Flush();
 }
 
-PhaseHandle BatchScheduler::FlushAsync() {
-  // The task captures everything by value (queue moved in, model pointer,
-  // policy, phase label copied), so it stays valid however long the
-  // caller holds the handle and whatever happens to this scheduler.
-  std::vector<Prompt> queued = std::move(pending_);
-  pending_.clear();
-  return PhaseHandle::Launch(
-      ThreadPool::SharedPhase(),
-      [model = model_, policy = policy_, phase = phase_,
-       pending = std::move(queued)]() mutable {
-        BatchScheduler scheduler(model, policy, std::move(phase));
-        scheduler.pending_ = std::move(pending);
-        return scheduler.Flush();
-      });
-}
-
-PhaseHandle BatchScheduler::RunAsync(std::vector<Prompt> prompts) {
-  for (Prompt& p : prompts) Add(std::move(p));
-  return FlushAsync();
-}
-
 }  // namespace galois::llm

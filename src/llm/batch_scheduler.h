@@ -8,16 +8,9 @@
 
 #include "common/cancel.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "llm/language_model.h"
 
 namespace galois::llm {
-
-/// A joinable handle to one asynchronously dispatched phase (see
-/// BatchScheduler::FlushAsync). Join returns exactly what the equivalent
-/// synchronous Flush would have returned — same completions, same Add
-/// order, same error contract — and must be called at most once.
-using PhaseHandle = TaskHandle<Result<std::vector<Completion>>>;
 
 /// How one retrieval phase dispatches its prompts to the model.
 struct BatchPolicy {
@@ -62,15 +55,16 @@ struct BatchPolicy {
 /// completion per distinct prompt. Dedupe happens before chunking, so no
 /// two concurrent chunks ever carry the same prompt text.
 ///
-/// Thread-safety: a scheduler instance is NOT itself thread-safe — it is
-/// a per-phase, single-owner object (Add/Flush from one thread). The
-/// concurrency introduced by parallel_batches is internal to Flush, which
-/// joins every in-flight round trip before returning. Flush must not be
+/// Thread-safety: a scheduler's queue is single-owner (Add/Flush from one
+/// thread); CompleteOne touches no queue state and may be called from
+/// several threads at once. The concurrency introduced by
+/// parallel_batches is internal to Flush, which joins every in-flight
+/// round trip before returning. The scheduler never leaves the calling
+/// thread otherwise: callers that overlap phases wrap their calls in
+/// TaskHandles (PhaseTask, common/thread_pool.h). Flush must not be
 /// called from inside a task of the *round-trip* pool (ThreadPool::
-/// Shared(); the wait could starve that pool). Running a Flush on the
-/// phase pool is fine and is exactly what FlushAsync does: phase tasks
-/// wait on round-trip futures, never the converse (the two-tier rule in
-/// common/thread_pool.h).
+/// Shared(); the wait could starve that pool); from a phase task it is
+/// fine — the tier rule in common/thread_pool.h.
 class BatchScheduler {
  public:
   /// `model` must outlive the scheduler. `phase` is a human-readable
@@ -106,33 +100,14 @@ class BatchScheduler {
   /// first failure.
   Result<std::vector<Completion>> Flush();
 
-  /// Future-returning dispatch: moves the queued prompts into a
-  /// self-contained task on ThreadPool::SharedPhase() and returns a
-  /// handle the caller joins later. Several phases launched this way run
-  /// their Flushes concurrently — the pipelined executor uses this to
-  /// overlap independent column retrievals and table materialisations.
-  ///
-  /// The task owns copies of the model pointer, policy and phase label,
-  /// so the scheduler itself may be reused (its queue is empty again) or
-  /// destroyed before Join; only the model must outlive the handle.
-  /// Semantics are identical to Flush — same dedupe, chunking,
-  /// parallel_batches fan-out, Add-order results, accounting and error
-  /// contract; only the thread that executes the dispatch differs. Thanks
-  /// to TaskHandle's claim-on-join, launching more phases than the phase
-  /// pool has workers degrades to inline execution at Join, never to
-  /// deadlock.
-  PhaseHandle FlushAsync();
-
   /// Convenience: queue `prompts` and flush in one call.
   Result<std::vector<Completion>> Run(std::vector<Prompt> prompts);
 
-  /// Convenience: queue `prompts` and dispatch them asynchronously.
-  PhaseHandle RunAsync(std::vector<Prompt> prompts);
-
-  /// Dispatches one dependent prompt immediately, outside any batch
-  /// (scan paging: page k+1 cannot be built until page k's answer is
-  /// seen). Never billed as a batch round trip.
-  Result<Completion> CompleteOne(const Prompt& prompt) {
+  /// Dispatches one prompt immediately, outside any batch, as a single
+  /// Complete call (scan paging: whether page k+1 is wanted depends on
+  /// page k's answer). Never billed as a batch round trip; the model's
+  /// error is returned as-is.
+  Result<Completion> CompleteOne(const Prompt& prompt) const {
     GALOIS_RETURN_IF_ERROR(CheckCancel(policy_.control));
     return model_->Complete(prompt);
   }

@@ -105,7 +105,7 @@ void GaloisServer::HandleConnection(Fd fd) {
         break;
       }
       case FrameType::kStats: {
-        std::string payload = ServerStatsToJson(BuildStats()).Dump();
+        std::string payload = ServerStatsToJson(stats()).Dump();
         Status s = WriteFrame(fd.get(), FrameType::kStatsResult, payload,
                               NowMs() + options_.io_timeout_ms);
         if (!s.ok()) return;
@@ -133,15 +133,19 @@ void GaloisServer::HandleConnection(Fd fd) {
   }
 }
 
-void GaloisServer::ServeQuery(int fd, const std::string& payload) {
+template <typename Request>
+CancelToken GaloisServer::AdmitRequest(
+    int fd, const std::string& payload,
+    Result<Request> (*from_json)(const Json&), Request* request,
+    int64_t* started) {
   Result<Json> parsed = Json::Parse(payload);
-  Result<QueryRequest> request =
-      parsed.ok() ? QueryRequestFromJson(parsed.value())
-                  : Result<QueryRequest>(parsed.status());
-  if (!request.ok()) {
-    WriteErrorFrame(fd, request.status(), /*retryable=*/false);
-    return;
+  Result<Request> decoded = parsed.ok() ? from_json(parsed.value())
+                                        : Result<Request>(parsed.status());
+  if (!decoded.ok()) {
+    WriteErrorFrame(fd, decoded.status(), /*retryable=*/false);
+    return nullptr;
   }
+  *request = std::move(decoded).value();
 
   std::string reject_reason;
   if (!AdmitQuery(&reject_reason)) {
@@ -153,28 +157,36 @@ void GaloisServer::ServeQuery(int fd, const std::string& payload) {
     // once load subsides (or against a drained server's replacement).
     WriteErrorFrame(fd, Status::ExecutionError(reject_reason),
                     /*retryable=*/true);
-    return;
+    return nullptr;
   }
 
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++queries_started_;
+    ++*started;
   }
 
   // Per-query token, chained onto the drain-kill parent so Shutdown()
   // can cancel overstaying queries cooperatively. The effective deadline
   // is the client's ask clamped by the server-side ceiling.
   CancelToken control = std::make_shared<CancelState>(drain_kill_);
-  int64_t deadline = request.value().deadline_ms;
+  int64_t deadline = request->deadline_ms;
   if (options_.default_deadline_ms > 0) {
     deadline = deadline > 0
                    ? std::min(deadline, options_.default_deadline_ms)
                    : options_.default_deadline_ms;
   }
   if (deadline > 0) control->ArmDeadline(deadline);
+  return control;
+}
+
+void GaloisServer::ServeQuery(int fd, const std::string& payload) {
+  QueryRequest request;
+  CancelToken control = AdmitRequest(fd, payload, &QueryRequestFromJson,
+                                     &request, &queries_started_);
+  if (control == nullptr) return;
 
   Session session = db_->CreateSession();
-  Result<QueryResult> result = session.Query(request.value().sql, control);
+  Result<QueryResult> result = session.Query(request.sql, control);
   ReleaseQuery();
 
   Status write_status;
@@ -209,39 +221,11 @@ void GaloisServer::ServeQuery(int fd, const std::string& payload) {
 }
 
 void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
-  Result<Json> parsed = Json::Parse(payload);
-  Result<PartialQueryRequest> request =
-      parsed.ok() ? PartialQueryRequestFromJson(parsed.value())
-                  : Result<PartialQueryRequest>(parsed.status());
-  if (!request.ok()) {
-    WriteErrorFrame(fd, request.status(), /*retryable=*/false);
-    return;
-  }
-
-  std::string reject_reason;
-  if (!AdmitQuery(&reject_reason)) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++queries_rejected_;
-    }
-    WriteErrorFrame(fd, Status::ExecutionError(reject_reason),
-                    /*retryable=*/true);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++partials_started_;
-  }
-
-  CancelToken control = std::make_shared<CancelState>(drain_kill_);
-  int64_t deadline = request.value().deadline_ms;
-  if (options_.default_deadline_ms > 0) {
-    deadline = deadline > 0
-                   ? std::min(deadline, options_.default_deadline_ms)
-                   : options_.default_deadline_ms;
-  }
-  if (deadline > 0) control->ArmDeadline(deadline);
+  PartialQueryRequest request;
+  CancelToken control =
+      AdmitRequest(fd, payload, &PartialQueryRequestFromJson, &request,
+                   &partials_started_);
+  if (control == nullptr) return;
 
   // Shards execute under the node's own default options (the remote
   // execution contract: options do not travel), through the node's
@@ -253,13 +237,13 @@ void GaloisServer::ServePartialQuery(int fd, const std::string& payload) {
   executor.set_materialisation_cache(db_->materialisation_cache());
 
   core::ShardRequest shard;
-  shard.sql = request.value().sql;
-  shard.table = request.value().table;
-  shard.alias = request.value().alias;
-  shard.columns = request.value().columns;
-  shard.descriptor = request.value().descriptor;
-  shard.slice_index = request.value().slice_index;
-  shard.slice_count = request.value().slice_count;
+  shard.sql = request.sql;
+  shard.table = request.table;
+  shard.alias = request.alias;
+  shard.columns = request.columns;
+  shard.descriptor = request.descriptor;
+  shard.slice_index = request.slice_index;
+  shard.slice_count = request.slice_count;
   Result<core::QueryOutput> out = executor.RunShard(shard);
   ReleaseQuery();
 
@@ -391,8 +375,6 @@ void GaloisServer::Shutdown() {
     (void)db_->store()->Sync();
   }
 }
-
-ServerStats GaloisServer::BuildStats() const { return stats(); }
 
 ServerStats GaloisServer::stats() const {
   ServerStats s;

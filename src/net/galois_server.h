@@ -108,6 +108,18 @@ class GaloisServer {
   /// kPartialResult (or kError) response. Shares the admission gate with
   /// full queries: a node's concurrency budget covers both kinds.
   void ServePartialQuery(int fd, const std::string& payload);
+  /// The steps both request kinds share before they execute: decodes
+  /// `payload` with `from_json` into `*request`, passes the admission
+  /// gate and counts the start in `*started` (a stats_mu_-guarded
+  /// counter). Returns the query's cancel token — chained on drain_kill_,
+  /// armed with the client's deadline clamped by default_deadline_ms — or
+  /// null once the reply is already written: a non-retryable error for a
+  /// payload that does not decode, a retryable one (counted in
+  /// queries_rejected) for an admission rejection.
+  template <typename Request>
+  CancelToken AdmitRequest(int fd, const std::string& payload,
+                           Result<Request> (*from_json)(const Json&),
+                           Request* request, int64_t* started);
   /// Blocks until an execution slot is free (or rejection). On false,
   /// `*reject_reason` names why (queue full / draining).
   bool AdmitQuery(std::string* reject_reason);
@@ -115,7 +127,6 @@ class GaloisServer {
   void ReapFinishedWorkers();
   /// Writes an error frame; failures are ignored (the client is gone).
   void WriteErrorFrame(int fd, const Status& status, bool retryable);
-  ServerStats BuildStats() const;
 
   Database* db_;
   ServerOptions options_;

@@ -277,29 +277,36 @@ void ResultStore::TouchPrompt(const std::string& model,
 
 template <typename Fn>
 void ResultStore::ForEachLive(RecordType type, const Fn& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto view = env_->OpenView(JournalPath(), options_.use_mmap);
-  if (!view.ok()) return;
-  const char* data = view.value()->data();
-  const size_t size = view.value()->size();
-
-  std::vector<const LiveEntry*> order;
-  order.reserve(live_.size());
-  for (const auto& [key, entry] : live_) {
-    (void)key;
-    if (entry.type == type) order.push_back(&entry);
+  // Snapshot the view and the live offsets under the lock; decode and
+  // call back one frame at a time after releasing it. A callback that
+  // takes another lock (a cache warm-starting) must never nest it inside
+  // mu_, because that cache's own hooks take mu_ while holding it. The
+  // view stays valid unlocked: it owns its bytes, the journal is only
+  // appended to past them, and vacuum renames a new file in.
+  std::unique_ptr<FileView> view;
+  std::vector<std::pair<int64_t, size_t>> order;  // (last_used, offset)
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto opened = env_->OpenView(JournalPath(), options_.use_mmap);
+    if (!opened.ok()) return;
+    view = std::move(opened).value();
+    order.reserve(live_.size());
+    for (const auto& [key, entry] : live_) {
+      (void)key;
+      if (entry.type == type) {
+        order.emplace_back(entry.last_used,
+                           static_cast<size_t>(entry.offset));
+      }
+    }
   }
   // LRU-first: feeding an LRU-capped cache in this order leaves the
   // most recently used entries resident.
-  std::sort(order.begin(), order.end(),
-            [](const LiveEntry* a, const LiveEntry* b) {
-              return a->last_used < b->last_used;
-            });
-  for (const LiveEntry* entry : order) {
+  std::sort(order.begin(), order.end());
+  for (const auto& [last_used, offset] : order) {
+    (void)last_used;
     // Re-validate the frame from disk; a record that no longer parses
     // degrades to a miss, never to wrong bytes.
-    FrameResult frame =
-        DecodeFrame(data, size, static_cast<size_t>(entry->offset));
+    FrameResult frame = DecodeFrame(view->data(), view->size(), offset);
     if (frame.status != FrameStatus::kOk || frame.type != type) continue;
     fn(frame);
   }

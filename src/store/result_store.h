@@ -104,6 +104,7 @@ struct StoreStats {
 ///
 /// Thread-safe: all operations take the store mutex; one store may be
 /// shared by every session of a Database (and is, via the cache hooks).
+/// No callback ever runs under that mutex (see ForEachMaterialisation).
 class ResultStore {
  public:
   /// Opens (creating if needed) the journal under `options.path` and
@@ -119,8 +120,14 @@ class ResultStore {
 
   /// --- warm-start reads (recovered, live entries) ---------------------
   /// Invoked in least-recently-used-first order, so feeding an LRU-capped
-  /// cache leaves the most recent entries resident. Callbacks run under
-  /// the store mutex; they must not call back into the store.
+  /// cache leaves the most recent entries resident. The journal view and
+  /// the live offsets are snapshotted under the store mutex; each record
+  /// is decoded and passed to `fn` after it is released, one at a time:
+  /// the store never runs a callback while holding its mutex. That rule
+  /// keeps lock order one-way — a cache may call Put*/Touch* under its
+  /// own lock (its persistence hooks do), so the store must never take
+  /// that lock under mu_. Callbacks may call back into the store; entries
+  /// written meanwhile are not visited.
   ///
   /// `base_key`/`descriptor` are the structured cache-key halves of
   /// records written with them (kMaterialisationFlagHasDescriptor); both
@@ -207,7 +214,8 @@ class ResultStore {
   Status VacuumLocked();
   void MaybeScheduleVacuum(std::unique_lock<std::mutex>* lock);
 
-  /// Live entries of `type`, LRU-first, decoded from a fresh view.
+  /// Live entries of `type`, LRU-first, decoded one at a time from a
+  /// view opened under mu_ and handed to `fn` after it is released.
   template <typename Fn>
   void ForEachLive(RecordType type, const Fn& fn);
 

@@ -316,6 +316,64 @@ TEST(ClusterE2eTest, KeyRangeSplitMergesByteIdenticalRelations) {
   EXPECT_EQ(stats.redispatches, 0);
 }
 
+TEST(ClusterE2eTest, ConcurrentSplitQueriesOversubscribeTheScatterPool) {
+  // More concurrent scatter queries than the coordinator's scatter pool
+  // has workers, each fanning out shards x key-range slices. Dispatches
+  // no worker has picked up run inline on the joining query thread, so
+  // every query finishes and merges the facade's relation.
+  auto facade_db = OpenSimDb(/*table_cache=*/false);
+  Session facade = facade_db->CreateSession();
+  const std::vector<knowledge::QuerySpec>& queries = W().queries();
+  std::vector<std::string> expected;
+  for (const knowledge::QuerySpec& query : queries) {
+    auto want = facade.Query(query.sql);
+    ASSERT_TRUE(want.ok()) << "q" << query.id << ": " << want.status();
+    expected.push_back(want->relation.ToCsv());
+  }
+
+  Node node_a(/*table_cache=*/false);
+  Node node_b(/*table_cache=*/false);
+  cluster::ClusterOptions copts;
+  copts.split_key_ranges = true;
+  auto cluster_db =
+      OpenClusterDb({node_a.server.port(), node_b.server.port()}, copts);
+  ASSERT_NE(nullptr, cluster_db);
+
+  // The pool is sized for nodes at the default admission limit.
+  const size_t per_node = cluster::ClusterCoordinator::kScatterThreadsPerNode;
+  EXPECT_EQ(static_cast<int>(per_node), ServerOptions().max_in_flight);
+  const size_t clients = 2 * per_node + 4;  // 2 nodes' worth of workers + 4
+  const size_t per_client = 8;
+  std::vector<std::string> failures(clients);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      Session session = cluster_db->CreateSession();
+      for (size_t k = 0; k < per_client; ++k) {
+        const size_t q = (c * per_client + k) % queries.size();
+        auto got = session.Query(queries[q].sql);
+        if (!got.ok()) {
+          failures[c] += "q" + std::to_string(queries[q].id) + ": " +
+                         got.status().ToString() + "\n";
+        } else if (got->relation.ToCsv() != expected[q]) {
+          failures[c] += "q" + std::to_string(queries[q].id) +
+                         " diverged under concurrent scatter\n";
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t c = 0; c < clients; ++c) {
+    EXPECT_EQ("", failures[c]) << "client " << c;
+  }
+
+  ClusterStats stats = cluster_db->cluster()->stats();
+  EXPECT_EQ(static_cast<int64_t>(clients * per_client),
+            stats.queries + stats.queries_local);
+  EXPECT_GT(stats.shards_dispatched, stats.queries);
+  EXPECT_EQ(stats.redispatches, 0);
+}
+
 // ---------------------------------------------------------------------
 // Routing edges.
 // ---------------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <set>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/cancel.h"
 #include "core/galois_executor.h"
@@ -148,6 +150,72 @@ TEST(ScanPrefetchTest, CancellationStopsTheScan) {
   auto keys = LlmKeyScan(&model, CountryDef(), options);
   ASSERT_FALSE(keys.ok());
   EXPECT_EQ(keys.status().code(), StatusCode::kCancelled);
+}
+
+/// Forwards every round trip to `inner` except the key-scan prompt for
+/// page `fail_page`, which fails with a kLlmError before billing.
+class PageFailingModel : public llm::LanguageModel {
+ public:
+  PageFailingModel(llm::LanguageModel* inner, int fail_page)
+      : inner_(inner), fail_page_(fail_page) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  Result<llm::Completion> Complete(const llm::Prompt& prompt) override {
+    return CompleteMetered(prompt, nullptr);
+  }
+  Result<std::vector<llm::Completion>> CompleteBatch(
+      const std::vector<llm::Prompt>& batch) override {
+    return CompleteBatchMetered(batch, nullptr);
+  }
+  Result<llm::Completion> CompleteMetered(const llm::Prompt& prompt,
+                                          llm::CostMeter* usage) override {
+    const auto* scan = std::get_if<llm::KeyScanIntent>(&prompt.intent);
+    if (scan != nullptr && scan->page == fail_page_) {
+      return Status::LlmError("page " + std::to_string(fail_page_) +
+                              " unavailable");
+    }
+    return inner_->CompleteMetered(prompt, usage);
+  }
+  Result<std::vector<llm::Completion>> CompleteBatchMetered(
+      const std::vector<llm::Prompt>& batch,
+      llm::CostMeter* usage) override {
+    return inner_->CompleteBatchMetered(batch, usage);
+  }
+  llm::CostMeter cost() const override { return inner_->cost(); }
+  void ResetCost() override { inner_->ResetCost(); }
+
+ private:
+  llm::LanguageModel* inner_;
+  int fail_page_;
+};
+
+TEST(ScanPrefetchTest, FailedPageReturnsTheSameStatusWithAndWithoutPrefetch) {
+  // Both window sizes run the same paging loop, so a page the model
+  // fails surfaces as the same Status — code and message — either way.
+  ExecutionOptions sequential;
+  sequential.max_scan_pages = 4;
+  ExecutionOptions prefetched = sequential;
+  prefetched.prefetch_pages = 2;
+
+  llm::SimulatedLlm seq_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageFailingModel seq_model(&seq_inner, /*fail_page=*/1);
+  auto seq = LlmKeyScan(&seq_model, CountryDef(), sequential);
+
+  llm::SimulatedLlm pre_inner(&W().kb(), FullCoverage(5), nullptr, 7);
+  PageFailingModel pre_model(&pre_inner, /*fail_page=*/1);
+  KeyScanStats stats;
+  auto pre = LlmKeyScan(&pre_model, CountryDef(), prefetched,
+                        /*filter=*/std::nullopt, &stats);
+
+  ASSERT_FALSE(seq.ok());
+  ASSERT_FALSE(pre.ok());
+  EXPECT_EQ(seq.status().code(), StatusCode::kLlmError);
+  EXPECT_EQ(pre.status().code(), seq.status().code());
+  EXPECT_EQ(pre.status().message(), seq.status().message());
+  // Pages 0-2 went out at once and page 3 after page 0 was consumed;
+  // the two speculated behind the failed page 1 were still joined.
+  EXPECT_EQ(stats.pages, 4);
+  EXPECT_EQ(stats.overfetched, 2);
 }
 
 TEST(ScanPrefetchTest, ExecutorQueryIsIdenticalWithPrefetch) {
