@@ -14,6 +14,11 @@
 //   galois> .tables
 //   galois> .quit
 //
+// A bare `.explain` prints the physical operator DAG the last query
+// executed, with per-operator statistics (Session::Explain); `.explain
+// on` prints that same DAG (QueryResult::physical_plan) after every
+// query's result.
+//
 // Also works non-interactively: echo "SELECT ..." | galois_shell
 
 #include <unistd.h>
@@ -36,7 +41,6 @@
 #include "llm/http_llm.h"
 #include "llm/model_profile.h"
 #include "llm/simulated_llm.h"
-#include "planner/planner.h"
 #include "sql/parser.h"
 
 namespace {
@@ -132,7 +136,7 @@ void PrintHelp() {
       "  .model <flan|tk|gpt-3|chatgpt>   switch model profile\n"
       "  .explain                 physical operator DAG of the last query\n"
       "                           with per-operator rows/round trips/cost\n"
-      "  .explain <on|off>        print the logical plan before running\n"
+      "  .explain <on|off>        print that DAG after every query\n"
       "  .truth <on|off>          run on the ground-truth DB instead\n"
       "  .pushdown <never|always|auto>    selection pushdown policy\n"
       "  .verify <on|off>         critic verification of every cell\n"
@@ -389,7 +393,9 @@ bool HandleCommand(ShellState* state, const std::string& line) {
   return true;
 }
 
-void PrintResult(const galois::QueryResult& result) {
+/// Prints a query's relation and bill; with `explain`, also the
+/// physical operator DAG it executed (QueryResult::physical_plan).
+void PrintResult(const galois::QueryResult& result, bool explain) {
   std::printf("%s", result.relation.ToPrettyString(30).c_str());
   if (result.table_cache_hits > 0) {
     std::printf("(%lld prompts, %.1f s simulated, %lld/%lld tables from "
@@ -429,6 +435,7 @@ void PrintResult(const galois::QueryResult& result) {
     }
     std::printf(")\n");
   }
+  if (explain) std::printf("%s", result.physical_plan.c_str());
 }
 
 void RunSql(ShellState* state, const std::string& sql) {
@@ -436,17 +443,6 @@ void RunSql(ShellState* state, const std::string& sql) {
   if (!stmt.ok()) {
     std::printf("%s\n", stmt.status().ToString().c_str());
     return;
-  }
-  if (state->explain) {
-    auto plan = galois::planner::BuildLogicalPlan(
-        stmt.value(), state->workload->catalog());
-    if (plan.ok()) {
-      galois::planner::OptimizeLlmFilters(
-          plan.value().get(),
-          state->options.EffectivePushdown() !=
-              galois::core::PushdownPolicy::kNever);
-      std::printf("%s", galois::planner::Explain(*plan.value()).c_str());
-    }
   }
   if (state->ground_truth) {
     auto rd = galois::engine::ExecuteSelect(stmt.value(),
@@ -465,7 +461,7 @@ void RunSql(ShellState* state, const std::string& sql) {
       std::printf("%s\n", result.status().ToString().c_str());
       return;
     }
-    PrintResult(*result);
+    PrintResult(*result, state->explain);
     return;
   }
 
@@ -491,7 +487,7 @@ void RunSql(ShellState* state, const std::string& sql) {
     }
     results.push_back(std::move(result).value());
   }
-  PrintResult(results[0]);
+  PrintResult(results[0], state->explain);
   bool identical = true;
   for (int s = 1; s < state->num_sessions; ++s) {
     if (!results[s].relation.SameContents(results[0].relation)) {

@@ -3,9 +3,10 @@
 // This walks the public API surface:
 //   1. open a galois::Database (world + catalog + a simulated
 //      GPT-3.5-turbo backend, all wired by the builder),
-//   2. show the logical plan with its LLM-specific physical operators,
-//   3. create a Session and execute the query — the returned QueryResult
+//   2. create a Session and execute the query — the returned QueryResult
 //      carries the relation plus the query's own prompt bill,
+//   3. show the physical operator DAG the query executed, with its
+//      LLM-specific operators (Figure 3 style),
 //   4. compare against a classic DBMS run over the ground truth.
 //
 // Usage: quickstart ["SQL query"]
@@ -15,8 +16,6 @@
 
 #include "api/database.h"
 #include "engine/executor.h"
-#include "planner/planner.h"
-#include "sql/parser.h"
 
 int main(int argc, char** argv) {
   std::string sql =
@@ -32,24 +31,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 2. Logical plan, annotated with the LLM physical operators.
-  auto stmt = galois::sql::ParseSelect(sql);
-  if (!stmt.ok()) {
-    std::fprintf(stderr, "parse: %s\n", stmt.status().ToString().c_str());
-    return 1;
-  }
-  auto plan =
-      galois::planner::BuildLogicalPlan(stmt.value(), (*db)->catalog());
-  if (plan.ok()) {
-    galois::planner::OptimizeLlmFilters(plan.value().get(),
-                                        /*merge_into_scan=*/false);
-    std::printf("Query: %s\n\nLogical plan (Figure 3 style):\n%s\n",
-                sql.c_str(),
-                galois::planner::Explain(*plan.value()).c_str());
-  }
-
-  // 3. Execute on the LLM through a Session; the QueryResult is
+  // 2. Execute on the LLM through a Session; the QueryResult is
   // self-contained (relation + this query's cost meter).
+  std::printf("Query: %s\n\n", sql.c_str());
   galois::Session session = (*db)->CreateSession();
   auto result = session.Query(sql);
   if (!result.ok()) {
@@ -65,6 +49,11 @@ int main(int argc, char** argv) {
       static_cast<long long>(result->cost.num_prompts),
       static_cast<long long>(result->cost.prompt_tokens),
       result->cost.simulated_latency_ms / 1000.0, result->wall_ms);
+
+  // 3. The plan that ran: one line per physical operator, LLM operators
+  // (key scan, filter checks, attribute retrievals) at the leaves.
+  std::printf("Executed plan (Figure 3 style):\n%s\n",
+              session.Explain().c_str());
 
   // 4. Ground truth from the classic engine.
   auto truth = galois::engine::ExecuteSql(sql, (*db)->catalog());

@@ -29,9 +29,6 @@ class Rng {
   /// Bernoulli draw with probability `p` of true.
   bool NextBool(double p);
 
-  /// Gaussian (Box-Muller) with the given mean and standard deviation.
-  double NextGaussian(double mean, double stddev);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -41,10 +38,6 @@ class Rng {
       std::swap((*v)[i], (*v)[j]);
     }
   }
-
-  /// Derives a child RNG whose stream is a pure function of this seed and
-  /// `label`; used to give independent deterministic streams to components.
-  Rng Fork(std::string_view label) const;
 
   /// Stable 64-bit FNV-1a hash of a string (used for per-key noise that
   /// does not depend on evaluation order).

@@ -46,12 +46,6 @@ std::vector<std::string> SplitIdentifierWords(std::string_view ident);
 /// "cityMayor" -> "city mayor"; convenience over SplitIdentifierWords.
 std::string HumanizeIdentifier(std::string_view ident);
 
-/// Levenshtein edit distance (for fuzzy entity matching in eval).
-size_t EditDistance(std::string_view a, std::string_view b);
-
-/// Normalised similarity in [0,1]: 1 - dist/max_len.
-double StringSimilarity(std::string_view a, std::string_view b);
-
 }  // namespace galois
 
 #endif  // GALOIS_COMMON_STRINGS_H_

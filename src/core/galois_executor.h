@@ -101,6 +101,13 @@ class GaloisExecutor {
   /// bill the same shared model stack concurrently. The result carries
   /// the rendered DAG. Thread-safe: may be called concurrently with
   /// itself.
+  ///
+  /// Order: compile, then cancellation, then execution. RunPlan checks
+  /// options().control before it issues any prompt, so a query whose
+  /// token is already cancelled answers kCancelled with nothing billed.
+  /// Compilation comes first (RunSql and Run compile before they call
+  /// RunPlan), so a query that fails to parse or bind reports that error
+  /// even when its token is already cancelled.
   Result<QueryOutput> RunPlan(PhysicalPlan plan) const;
 
   /// Compile, then RunPlan.

@@ -209,28 +209,6 @@ Result<std::vector<std::string>> LlmKeyScan(
   return keys;
 }
 
-Result<Value> LlmGetAttribute(llm::LanguageModel* model,
-                              const catalog::TableDef& table,
-                              const std::string& key,
-                              const catalog::ColumnDef& column,
-                              const ExecutionOptions& options,
-                              CellProvenance* provenance) {
-  llm::Prompt prompt = AttributePrompt(table, key, column);
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(prompt));
-  if (provenance != nullptr) {
-    provenance->table_alias = table.name;
-    provenance->key = key;
-    provenance->column = column.name;
-    provenance->prompt = prompt.text;
-    provenance->completion = completion.text;
-  }
-  GALOIS_ASSIGN_OR_RETURN(
-      Value value, CleanAttributeCompletion(completion.text, column, options));
-  if (provenance != nullptr) provenance->value = value;
-  return value;
-}
-
 Result<std::vector<Value>> LlmGetAttributeBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
@@ -308,26 +286,6 @@ Result<std::vector<int>> LlmVerifyCellBatch(
   GALOIS_ASSIGN_OR_RETURN(std::vector<llm::Completion> completions,
                           scheduler.Run(std::move(prompts)));
   return ParseVerdicts(completions);
-}
-
-Result<int> LlmVerifyCell(llm::LanguageModel* model,
-                          const catalog::TableDef& table,
-                          const std::string& key,
-                          const catalog::ColumnDef& column,
-                          const Value& claimed) {
-  GALOIS_ASSIGN_OR_RETURN(
-      llm::Completion completion,
-      model->Complete(VerifyPrompt(table, key, column, claimed)));
-  return ParseVerdict(completion.text);
-}
-
-Result<int> LlmFilterCheck(llm::LanguageModel* model,
-                           const catalog::TableDef& table,
-                           const std::string& key,
-                           const llm::PromptFilter& filter) {
-  GALOIS_ASSIGN_OR_RETURN(llm::Completion completion,
-                          model->Complete(FilterPrompt(table, key, filter)));
-  return ParseVerdict(completion.text);
 }
 
 }  // namespace galois::core

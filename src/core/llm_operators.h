@@ -75,60 +75,37 @@ Result<std::vector<std::string>> LlmKeyScan(
     const std::optional<llm::PromptFilter>& filter = std::nullopt,
     KeyScanStats* stats = nullptr, int64_t key_limit = -1);
 
-/// Attribute retrieval node: fetches `column` of the entity identified by
-/// `key` and converts the completion to a typed cell via the cleaning
-/// layer (or stores the raw string when cleaning is disabled). When
-/// `provenance` is non-null the raw prompt/completion are recorded there.
-Result<Value> LlmGetAttribute(llm::LanguageModel* model,
-                              const catalog::TableDef& table,
-                              const std::string& key,
-                              const catalog::ColumnDef& column,
-                              const ExecutionOptions& options,
-                              CellProvenance* provenance = nullptr);
-
-/// Attribute-retrieval phase: fetches `column` for every key in `keys`
-/// through the batch scheduler. Semantically identical to calling
-/// LlmGetAttribute per key. `provenances`, when non-null, receives one
-/// record per key.
+/// Attribute-retrieval phase: fetches `column` of every entity in `keys`
+/// through the batch scheduler and converts each completion to a typed
+/// cell via the cleaning layer (or keeps the raw string when cleaning is
+/// disabled). `provenances`, when non-null, receives one record per key
+/// (the raw prompt and completion).
 Result<std::vector<Value>> LlmGetAttributeBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const ExecutionOptions& options,
     std::vector<CellProvenance>* provenances = nullptr);
 
-/// Filter-check phase over many keys; returns one verdict (1/0/-1) per
-/// key, in order.
+/// Selection check phase: asks whether `filter` holds for each key.
+/// Returns one verdict per key, in order: 1/0 for yes/no and -1 when the
+/// model answers "Unknown" (callers drop unknown keys, matching the
+/// closed-world behaviour of a selection).
 Result<std::vector<int>> LlmFilterCheckBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys, const llm::PromptFilter& filter,
     const ExecutionOptions& options);
 
-/// Critic verification (Section 6): asks a second prompt whether the
-/// claimed value is true. Returns 1 (confirmed), 0 (rejected) or -1
-/// (critic answered "Unknown" — treated as confirmation by callers, the
-/// critic abstains).
-Result<int> LlmVerifyCell(llm::LanguageModel* model,
-                          const catalog::TableDef& table,
-                          const std::string& key,
-                          const catalog::ColumnDef& column,
-                          const Value& claimed);
-
-/// Critic-verification phase: one verdict per (keys[i], claimed[i]) pair
-/// for `column`, dispatched through the batch scheduler. `keys` and
-/// `claimed` must have equal length.
+/// Critic verification phase (Section 6): asks a second prompt whether
+/// each claimed value is true, one verdict per (keys[i], claimed[i]) pair
+/// for `column`, dispatched through the batch scheduler: 1 (confirmed),
+/// 0 (rejected) or -1 (critic answered "Unknown" — treated as
+/// confirmation by callers, the critic abstains). `keys` and `claimed`
+/// must have equal length.
 Result<std::vector<int>> LlmVerifyCellBatch(
     llm::LanguageModel* model, const catalog::TableDef& table,
     const std::vector<std::string>& keys,
     const catalog::ColumnDef& column, const std::vector<Value>& claimed,
     const ExecutionOptions& options);
-
-/// Selection check: asks whether `filter` holds for `key`. Returns 1/0 for
-/// yes/no and -1 when the model answers "Unknown" (callers drop unknown
-/// keys, matching the closed-world behaviour of a selection).
-Result<int> LlmFilterCheck(llm::LanguageModel* model,
-                           const catalog::TableDef& table,
-                           const std::string& key,
-                           const llm::PromptFilter& filter);
 
 }  // namespace galois::core
 

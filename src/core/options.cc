@@ -18,7 +18,7 @@ const char* PushdownPolicyName(PushdownPolicy p) {
 
 std::string ExecutionOptions::ToString() const {
   std::ostringstream os;
-  os << "pushdown=" << PushdownPolicyName(EffectivePushdown())
+  os << "pushdown=" << PushdownPolicyName(pushdown_policy)
      << " cleaning=" << (enable_cleaning ? "on" : "off")
      << " domains=" << (enforce_domains ? "on" : "off")
      << " llm_filters=" << (llm_filter_checks ? "on" : "off")

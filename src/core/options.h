@@ -34,11 +34,6 @@ struct ExecutionOptions {
   /// large scans, while the accuracy penalty is per-prompt).
   size_t auto_pushdown_min_rows = 60;
 
-  /// The single source of truth for the pushdown decision. (The legacy
-  /// `pushdown_selections` bool is retired; set `pushdown_policy =
-  /// PushdownPolicy::kAlways` instead.)
-  PushdownPolicy EffectivePushdown() const { return pushdown_policy; }
-
   /// Verify every retrieved non-NULL cell with a second critic prompt and
   /// null the cells the critic rejects (Section 6, "Knowledge of the
   /// Unknown"). Costs one extra prompt per cell.

@@ -144,9 +144,8 @@ planner::BindingOptions BindingOptionsFor(const ExecutionOptions& options) {
   planner::BindingOptions b;
   b.llm_filter_checks = options.llm_filter_checks;
   b.merge_filter_into_scan =
-      options.EffectivePushdown() == PushdownPolicy::kAlways;
-  b.merge_filter_auto =
-      options.EffectivePushdown() == PushdownPolicy::kAuto;
+      options.pushdown_policy == PushdownPolicy::kAlways;
+  b.merge_filter_auto = options.pushdown_policy == PushdownPolicy::kAuto;
   b.auto_pushdown_min_rows = options.auto_pushdown_min_rows;
   b.scan_rows_may_drop = options.verify_cells;
   return b;

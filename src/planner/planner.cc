@@ -63,43 +63,8 @@ std::string PlanNode::Describe() const {
   std::ostringstream os;
   os << PlanOpName(op);
   switch (op) {
-    case PlanOp::kScan:
-      os << "[" << (from_llm ? "LLM" : "DB") << "] " << table;
-      if (!alias.empty() && alias != table) os << " AS " << alias;
-      if (from_llm) {
-        os << " (retrieve key '" << key_column << "' via prompts";
-        if (predicate) {
-          os << ", filter merged into scan prompt: "
-             << predicate->ToString();
-        }
-        if (scan_key_limit >= 0) {
-          os << ", paging stops at " << scan_key_limit << " keys";
-        }
-        os << ")";
-      }
-      break;
-    case PlanOp::kFilter:
-      os << " " << (predicate ? predicate->ToString() : "?");
-      if (pushed_into_scan) {
-        os << " (merged into scan prompt)";
-      } else if (via_llm) {
-        os << " (one check prompt per key)";
-      }
-      break;
-    case PlanOp::kRetrieve:
-      os << " " << alias << ".{" << Join(columns, ", ")
-         << "} (one prompt per key per attribute)";
-      break;
-    case PlanOp::kJoin:
-      if (predicate) os << " ON " << predicate->ToString();
-      break;
     case PlanOp::kAggregate:
-    case PlanOp::kProject: {
-      std::vector<std::string> parts;
-      for (const auto& e : exprs) parts.push_back(e->ToString());
-      os << " [" << Join(parts, ", ") << "]";
-      break;
-    }
+    case PlanOp::kProject:
     case PlanOp::kSort: {
       std::vector<std::string> parts;
       for (const auto& e : exprs) parts.push_back(e->ToString());
@@ -109,7 +74,7 @@ std::string PlanNode::Describe() const {
     case PlanOp::kLimit:
       os << " " << limit;
       break;
-    case PlanOp::kDistinct:
+    default:
       break;
   }
   return os.str();
@@ -277,87 +242,6 @@ Result<PlanNodePtr> BuildLogicalPlan(const sql::SelectStatement& stmt,
     root = std::move(limit);
   }
   return root;
-}
-
-namespace {
-
-/// Finds the scan feeding a filter (through Retrieve nodes) for the alias
-/// referenced by a predicate; returns nullptr when ambiguous.
-PlanNode* FindLlmScan(PlanNode* node) {
-  if (node->op == PlanOp::kScan) {
-    return node->from_llm ? node : nullptr;
-  }
-  if (node->op == PlanOp::kRetrieve) {
-    return FindLlmScan(node->children[0].get());
-  }
-  return nullptr;
-}
-
-/// Alias referenced by a simple predicate ("" if none/mixed).
-std::string PredicateAlias(const Expr& e) {
-  std::string alias;
-  bool mixed = false;
-  sql::VisitExpr(e, [&](const Expr& node) {
-    if (node.kind != ExprKind::kColumnRef) return;
-    if (alias.empty()) {
-      alias = node.table;
-    } else if (!EqualsIgnoreCase(alias, node.table)) {
-      mixed = true;
-    }
-  });
-  return mixed ? "" : alias;
-}
-
-}  // namespace
-
-int OptimizeLlmFilters(PlanNode* root, bool merge_into_scan) {
-  int rewritten = 0;
-  for (auto& child : root->children) {
-    rewritten += OptimizeLlmFilters(child.get(), merge_into_scan);
-  }
-  if (root->op != PlanOp::kFilter || root->predicate == nullptr ||
-      root->via_llm) {
-    return rewritten;
-  }
-  PlanNode* input = root->children[0].get();
-  PlanNode* scan = FindLlmScan(input);
-  if (scan == nullptr) return rewritten;
-  // The filter must be a conjunction of simple comparisons on the scan.
-  std::vector<const Expr*> conjuncts;
-  sql::FlattenConjuncts(root->predicate.get(), &conjuncts);
-  // Fake TableDef lookup is not available here; accept column refs whose
-  // alias matches the scan (the executor re-validates against the
-  // catalog).
-  bool all_simple = true;
-  for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary) {
-      all_simple = false;
-      break;
-    }
-    const Expr* lhs = c->children[0].get();
-    const Expr* rhs = c->children[1].get();
-    bool shape = (lhs->kind == ExprKind::kColumnRef &&
-                  rhs->kind == ExprKind::kLiteral) ||
-                 (rhs->kind == ExprKind::kColumnRef &&
-                  lhs->kind == ExprKind::kLiteral);
-    if (!shape) {
-      all_simple = false;
-      break;
-    }
-    std::string alias = PredicateAlias(*c);
-    if (!alias.empty() && !EqualsIgnoreCase(alias, scan->alias)) {
-      all_simple = false;
-      break;
-    }
-  }
-  if (!all_simple) return rewritten;
-  root->via_llm = true;
-  ++rewritten;
-  if (merge_into_scan) {
-    root->pushed_into_scan = true;
-    scan->predicate = root->predicate->Clone();
-  }
-  return rewritten;
 }
 
 namespace {
@@ -660,9 +544,8 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
   // pass (scan_rows_may_drop) rejects keys for the same reason. ORDER BY
   // on the key does NOT qualify: scan paging enumerates keys in
   // first-seen order, not key order.
-  if (options.bound_scan_paging_by_limit && !options.scan_rows_may_drop &&
-      root->op == PlanOp::kLimit && root->limit >= 0 &&
-      root->children[0]->op == PlanOp::kProject) {
+  if (!options.scan_rows_may_drop && root->op == PlanOp::kLimit &&
+      root->limit >= 0 && root->children[0]->op == PlanOp::kProject) {
     PlanNode* s = root->children[0]->children[0].get();
     if (s->op == PlanOp::kRetrieve) s = s->children[0].get();
     if (s->op == PlanOp::kScan && s->from_llm && s->scan_filters.empty()) {
@@ -671,88 +554,6 @@ Result<int> BindPhysicalAnnotations(PlanNode* root,
   }
 
   return consumed_count;
-}
-
-int PruneRetrievedColumns(PlanNode* root) {
-  // Gather every column name referenced anywhere above each Retrieve.
-  // Simple conservative approach: collect all column refs in the whole
-  // plan and drop retrieved columns never mentioned.
-  std::set<std::string> referenced;
-  std::function<void(const PlanNode&)> collect = [&](const PlanNode& n) {
-    if (n.predicate) {
-      sql::VisitExpr(*n.predicate, [&](const Expr& e) {
-        if (e.kind == ExprKind::kColumnRef) referenced.insert(
-            ToLower(e.column));
-      });
-    }
-    for (const auto& e : n.exprs) {
-      sql::VisitExpr(*e, [&](const Expr& node) {
-        if (node.kind == ExprKind::kColumnRef) {
-          referenced.insert(ToLower(node.column));
-        }
-      });
-    }
-    for (const auto& c : n.children) collect(*c);
-  };
-  collect(*root);
-  int pruned = 0;
-  std::function<void(PlanNode*)> prune = [&](PlanNode* n) {
-    if (n->op == PlanOp::kRetrieve) {
-      std::vector<std::string> kept;
-      for (const std::string& col : n->columns) {
-        if (referenced.count(ToLower(col)) > 0) {
-          kept.push_back(col);
-        } else {
-          ++pruned;
-        }
-      }
-      n->columns = std::move(kept);
-    }
-    for (auto& c : n->children) prune(c.get());
-  };
-  prune(root);
-  return pruned;
-}
-
-namespace {
-
-void ExplainRec(const PlanNode& node, int depth, std::ostringstream* os) {
-  *os << std::string(static_cast<size_t>(depth) * 2, ' ')
-      << node.Describe() << "\n";
-  for (const auto& c : node.children) ExplainRec(*c, depth + 1, os);
-}
-
-}  // namespace
-
-std::string Explain(const PlanNode& root) {
-  std::ostringstream os;
-  ExplainRec(root, 0, &os);
-  return os.str();
-}
-
-int64_t EstimatePromptCount(const PlanNode& root, int64_t num_keys,
-                            int64_t page_size) {
-  int64_t prompts = 0;
-  std::function<void(const PlanNode&)> walk = [&](const PlanNode& n) {
-    switch (n.op) {
-      case PlanOp::kScan:
-        if (n.from_llm) {
-          prompts += (num_keys + page_size - 1) / page_size + 1;
-        }
-        break;
-      case PlanOp::kFilter:
-        if (n.via_llm && !n.pushed_into_scan) prompts += num_keys;
-        break;
-      case PlanOp::kRetrieve:
-        prompts += num_keys * static_cast<int64_t>(n.columns.size());
-        break;
-      default:
-        break;
-    }
-    for (const auto& c : n.children) walk(*c);
-  };
-  walk(root);
-  return prompts;
 }
 
 }  // namespace galois::planner

@@ -73,11 +73,6 @@ struct PlanNode {
 
   // kFilter / kJoin
   sql::ExprPtr predicate;
-  /// True when the filter executes as per-key LLM prompts rather than on
-  /// the engine (set by the optimizer for simple predicates on LLM scans).
-  bool via_llm = false;
-  /// True when the filter was merged into the scan prompt (pushdown).
-  bool pushed_into_scan = false;
   /// The engine-side residue of a WHERE filter after
   /// BindPhysicalAnnotations moved conjuncts into scan_filters: the AND of
   /// the unconsumed conjuncts, null when everything was consumed. Only
@@ -109,7 +104,10 @@ struct PlanNode {
   // kLimit
   int64_t limit = 0;
 
-  /// One-line description ("Scan[LLM] city (keys via prompts)").
+  /// One-line label of a relational-tail node ("Project [name]",
+  /// "Limit 5"); the physical plan render uses it for Aggregate, Project,
+  /// Sort, Distinct and Limit. Other ops print their name only: their
+  /// executed form is a physical operator with its own label.
   std::string Describe() const;
 };
 
@@ -120,12 +118,6 @@ using PlanNodePtr = std::unique_ptr<PlanNode>;
 /// project, sort, limit, distinct — bottom-up, unoptimised.
 Result<PlanNodePtr> BuildLogicalPlan(const sql::SelectStatement& stmt,
                                      const catalog::Catalog& catalog);
-
-/// Rewrite: marks simple comparisons over LLM scans as LLM-executed filter
-/// checks (via_llm) and, when `merge_into_scan` is set, pushes the first
-/// such filter into the scan prompt (Section 6's prompt-combining
-/// optimisation). Returns the number of filters rewritten.
-int OptimizeLlmFilters(PlanNode* root, bool merge_into_scan);
 
 /// Knobs of BindPhysicalAnnotations, mirroring the ExecutionOptions the
 /// executor will run under. Plain parameters: the planner stays below
@@ -145,8 +137,6 @@ struct BindingOptions {
   /// keys, so the first-N-keys prefix of the scan is not the first N
   /// output rows and LIMIT cannot bound paging.
   bool scan_rows_may_drop = false;
-  /// Master switch for the LIMIT paging bound (on by default).
-  bool bound_scan_paging_by_limit = true;
 };
 
 /// The authoritative physical-binding pass: validates every column against
@@ -172,21 +162,6 @@ struct BindingOptions {
 Result<int> BindPhysicalAnnotations(PlanNode* root,
                                     const catalog::Catalog& catalog,
                                     const BindingOptions& options);
-
-/// Rewrite: removes Retrieve columns that no ancestor consumes
-/// (projection pruning; each pruned column saves |keys| prompts).
-/// Returns the number of pruned columns.
-int PruneRetrievedColumns(PlanNode* root);
-
-/// Pretty-prints the plan as an indented tree (Figure 3 rendering).
-std::string Explain(const PlanNode& root);
-
-/// Estimated number of prompts the plan will issue, assuming `num_keys`
-/// rows per LLM scan and `page_size` keys per scan page. Used by the
-/// optimizer ablations to reason about prompt budgets without running a
-/// model.
-int64_t EstimatePromptCount(const PlanNode& root, int64_t num_keys,
-                            int64_t page_size);
 
 }  // namespace galois::planner
 

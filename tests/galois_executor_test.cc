@@ -294,6 +294,38 @@ TEST_F(GaloisExecutorTest, QualifiedTwinConjunctsOnSharedColumnNameWork) {
   EXPECT_TRUE(rm->SameContents(*rd));
 }
 
+// Compilation precedes the cancellation check (GaloisExecutor::RunPlan):
+// a pre-cancelled query that cannot bind reports the bind error, and a
+// pre-cancelled valid query answers kCancelled before any prompt.
+ExecutionOptions PreCancelled() {
+  ExecutionOptions options;
+  options.control = std::make_shared<CancelState>();
+  options.control->RequestCancel();
+  return options;
+}
+
+TEST_F(GaloisExecutorTest, PreCancelledBindErrorReportsTheBindError) {
+  const char* sql = "SELECT name FROM ghost";
+  auto uncancelled = GaloisExecutor(&perfect_, &W().catalog()).RunSql(sql);
+  ASSERT_FALSE(uncancelled.ok());
+  auto out =
+      GaloisExecutor(&perfect_, &W().catalog(), PreCancelled()).RunSql(sql);
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(out.status().code(), uncancelled.status().code());
+  EXPECT_EQ(out.status().ToString(), uncancelled.status().ToString());
+  EXPECT_EQ(perfect_.cost().num_prompts, 0);
+}
+
+TEST_F(GaloisExecutorTest, PreCancelledValidQueryBillsNothing) {
+  auto out = GaloisExecutor(&perfect_, &W().catalog(), PreCancelled())
+                 .RunSql("SELECT name, capital FROM country "
+                         "WHERE continent = 'Europe'");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(perfect_.cost().num_prompts, 0);
+}
+
 // Property over all 46 queries: Galois executes them with the expected
 // schema and the perfect model reproduces the ground truth exactly.
 class GaloisWorkloadTest : public ::testing::TestWithParam<int> {};

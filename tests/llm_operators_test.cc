@@ -1,5 +1,5 @@
 // Tests for the LLM physical operators: key scan paging/termination,
-// attribute retrieval + cleaning, filter checks.
+// attribute retrieval + cleaning, filter checks (one-key phase calls).
 
 #include <gtest/gtest.h>
 
@@ -93,18 +93,38 @@ TEST(LlmKeyScanTest, PushedFilterRestrictsKeys) {
   EXPECT_EQ(keys->size(), 5u);  // exactly the African countries
 }
 
+/// One-key forms of the attribute-retrieval and filter-check phases.
+Result<Value> GetAttributeOne(llm::LanguageModel* model,
+                              const std::string& key,
+                              const catalog::ColumnDef& column,
+                              const ExecutionOptions& opts) {
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<Value> values,
+      LlmGetAttributeBatch(model, CountryDef(), {key}, column, opts));
+  return values[0];
+}
+
+Result<int> FilterCheckOne(llm::LanguageModel* model, const std::string& key,
+                           const llm::PromptFilter& filter) {
+  GALOIS_ASSIGN_OR_RETURN(
+      std::vector<int> verdicts,
+      LlmFilterCheckBatch(model, CountryDef(), {key}, filter,
+                          ExecutionOptions()));
+  return verdicts[0];
+}
+
 TEST(LlmGetAttributeTest, RetrievesAndCleans) {
   llm::SimulatedLlm model(&W().kb(), FullCoverage(), nullptr, 7);
   ExecutionOptions opts;
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "France", *capital, opts);
+  auto v = GetAttributeOne(&model, "France", *capital, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), Value::String("Paris"));
 
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
-  auto p = LlmGetAttribute(&model, CountryDef(), "France", *pop, opts);
+  auto p = GetAttributeOne(&model, "France", *pop, opts);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value().type(), DataType::kInt64);
 }
@@ -118,7 +138,7 @@ TEST(LlmGetAttributeTest, NoisyFormatsStillTyped) {
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
   for (const char* country : {"Italy", "Japan", "Kenya"}) {
-    auto v = LlmGetAttribute(&model, CountryDef(), country, *pop, opts);
+    auto v = GetAttributeOne(&model, country, *pop, opts);
     ASSERT_TRUE(v.ok());
     ASSERT_FALSE(v.value().is_null()) << country;
     EXPECT_EQ(v.value().type(), DataType::kInt64) << country;
@@ -133,7 +153,7 @@ TEST(LlmGetAttributeTest, CleaningDisabledReturnsRawString) {
   opts.enable_cleaning = false;
   const catalog::ColumnDef* pop =
       CountryDef().FindColumn("population").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "Italy", *pop, opts);
+  auto v = GetAttributeOne(&model, "Italy", *pop, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value().type(), DataType::kString);
 }
@@ -146,7 +166,7 @@ TEST(LlmGetAttributeTest, UnknownEntityGivesNull) {
   ExecutionOptions opts;
   const catalog::ColumnDef* capital =
       CountryDef().FindColumn("capital").value();
-  auto v = LlmGetAttribute(&model, CountryDef(), "France", *capital, opts);
+  auto v = GetAttributeOne(&model, "France", *capital, opts);
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v.value().is_null());
 }
@@ -157,10 +177,8 @@ TEST(LlmFilterCheckTest, AnswersMatchTruthWithPerfectModel) {
   europe.attribute = "continent";
   europe.op = "=";
   europe.value = Value::String("Europe");
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Italy", europe).value(), 1);
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Japan", europe).value(), 0);
+  EXPECT_EQ(FilterCheckOne(&model, "Italy", europe).value(), 1);
+  EXPECT_EQ(FilterCheckOne(&model, "Japan", europe).value(), 0);
 }
 
 TEST(LlmFilterCheckTest, NumericComparisons) {
@@ -171,11 +189,9 @@ TEST(LlmFilterCheckTest, NumericComparisons) {
   above.attribute = "population";
   above.op = ">";
   above.value = Value::Int(truth.int_value() - 1);
-  EXPECT_EQ(LlmFilterCheck(&model, CountryDef(), "Italy", above).value(),
-            1);
+  EXPECT_EQ(FilterCheckOne(&model, "Italy", above).value(), 1);
   above.op = "<";
-  EXPECT_EQ(LlmFilterCheck(&model, CountryDef(), "Italy", above).value(),
-            0);
+  EXPECT_EQ(FilterCheckOne(&model, "Italy", above).value(), 0);
 }
 
 TEST(LlmFilterCheckTest, UnknownEntityGivesMinusOne) {
@@ -187,8 +203,7 @@ TEST(LlmFilterCheckTest, UnknownEntityGivesMinusOne) {
   europe.attribute = "continent";
   europe.op = "=";
   europe.value = Value::String("Europe");
-  EXPECT_EQ(
-      LlmFilterCheck(&model, CountryDef(), "Italy", europe).value(), -1);
+  EXPECT_EQ(FilterCheckOne(&model, "Italy", europe).value(), -1);
 }
 
 }  // namespace

@@ -297,10 +297,6 @@ TEST(BindingTest, LimitBoundLegality) {
   planner::BindingOptions critic = binding;
   critic.scan_rows_may_drop = true;
   EXPECT_EQ(key_limit("SELECT name FROM city LIMIT 5", critic), -1);
-  // Master switch.
-  planner::BindingOptions off = binding;
-  off.bound_scan_paging_by_limit = false;
-  EXPECT_EQ(key_limit("SELECT name FROM city LIMIT 5", off), -1);
 }
 
 TEST(LimitBoundedScanTest, LimitBuysStrictlyFewerPages) {

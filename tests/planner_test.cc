@@ -1,5 +1,6 @@
-// Tests for the logical planner: plan construction, retrieve-node
-// injection, optimizer rewrites, prompt estimation, explain output.
+// Tests for the logical planner: plan construction and retrieve-node
+// injection. The physical binding pass has its own suite
+// (physical_binding_test).
 
 #include <gtest/gtest.h>
 
@@ -105,88 +106,6 @@ TEST(PlannerTest, AggregateAndHavingNodes) {
 TEST(PlannerTest, DistinctNode) {
   PlanNodePtr plan = Plan("SELECT DISTINCT continent FROM country");
   EXPECT_NE(FindOp(*plan, PlanOp::kDistinct), nullptr);
-}
-
-TEST(PlannerTest, OptimizeLlmFiltersMarksSimplePredicates) {
-  PlanNodePtr plan =
-      Plan("SELECT name FROM country WHERE continent = 'Europe'");
-  int rewritten = OptimizeLlmFilters(plan.get(),
-                                     /*merge_into_scan=*/false);
-  EXPECT_EQ(rewritten, 1);
-  const PlanNode* filter = FindOp(*plan, PlanOp::kFilter);
-  ASSERT_NE(filter, nullptr);
-  EXPECT_TRUE(filter->via_llm);
-  EXPECT_FALSE(filter->pushed_into_scan);
-}
-
-TEST(PlannerTest, MergeIntoScanSetsScanPredicate) {
-  PlanNodePtr plan =
-      Plan("SELECT name FROM city WHERE population > 1000000");
-  OptimizeLlmFilters(plan.get(), /*merge_into_scan=*/true);
-  const PlanNode* scan = FindOp(*plan, PlanOp::kScan);
-  ASSERT_NE(scan, nullptr);
-  ASSERT_NE(scan->predicate, nullptr);
-  const PlanNode* filter = FindOp(*plan, PlanOp::kFilter);
-  EXPECT_TRUE(filter->pushed_into_scan);
-}
-
-TEST(PlannerTest, JoinPredicateNotRewritten) {
-  PlanNodePtr plan = Plan(
-      "SELECT ci.name FROM city ci, country co "
-      "WHERE ci.country = co.name");
-  int rewritten = OptimizeLlmFilters(plan.get(), false);
-  EXPECT_EQ(rewritten, 0);
-}
-
-TEST(PlannerTest, DbFilterNotRewritten) {
-  PlanNodePtr plan =
-      Plan("SELECT name FROM DB.Employees WHERE salary > 1000");
-  EXPECT_EQ(OptimizeLlmFilters(plan.get(), false), 0);
-}
-
-TEST(PlannerTest, PruneRetrievedColumns) {
-  // Build a plan, then artificially add an unused retrieved column.
-  PlanNodePtr plan =
-      Plan("SELECT name, capital FROM country WHERE continent = 'Asia'");
-  PlanNode* retrieve = const_cast<PlanNode*>(
-      FindOp(*plan, PlanOp::kRetrieve));
-  ASSERT_NE(retrieve, nullptr);
-  retrieve->columns.push_back("currency");  // nothing references it
-  int pruned = PruneRetrievedColumns(plan.get());
-  EXPECT_EQ(pruned, 1);
-  for (const std::string& col : retrieve->columns) {
-    EXPECT_NE(col, "currency");
-  }
-}
-
-TEST(PlannerTest, ExplainRendersTree) {
-  PlanNodePtr plan =
-      Plan("SELECT name FROM country WHERE continent = 'Europe'");
-  OptimizeLlmFilters(plan.get(), false);
-  std::string text = Explain(*plan);
-  EXPECT_NE(text.find("Project"), std::string::npos);
-  EXPECT_NE(text.find("Scan[LLM] country"), std::string::npos);
-  EXPECT_NE(text.find("one check prompt per key"), std::string::npos);
-}
-
-TEST(PlannerTest, PromptEstimateDropsWithPushdown) {
-  PlanNodePtr plain =
-      Plan("SELECT name FROM city WHERE population > 1000000");
-  OptimizeLlmFilters(plain.get(), /*merge_into_scan=*/false);
-  PlanNodePtr pushed =
-      Plan("SELECT name FROM city WHERE population > 1000000");
-  OptimizeLlmFilters(pushed.get(), /*merge_into_scan=*/true);
-  int64_t cost_plain = EstimatePromptCount(*plain, 100, 15);
-  int64_t cost_pushed = EstimatePromptCount(*pushed, 100, 15);
-  EXPECT_GT(cost_plain, cost_pushed);
-  EXPECT_GE(cost_plain - cost_pushed, 100);  // saved one prompt per key
-}
-
-TEST(PlannerTest, PromptEstimateCountsRetrieves) {
-  PlanNodePtr plan = Plan("SELECT name, capital, currency FROM country");
-  int64_t cost = EstimatePromptCount(*plan, 48, 12);
-  // 4 scan pages + terminal + 2 attributes x 48 keys.
-  EXPECT_GE(cost, 96);
 }
 
 TEST(PlannerTest, UnknownTableFailsPlanning) {
